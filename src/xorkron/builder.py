@@ -4,17 +4,15 @@ For each edge {i, j} of g the built graph carries the cross pair
 {(i,i),(j,j)} and {(i,j),(j,i)} on the n x n grid. The diagonal cells then
 induce a copy of g, each edge contributes one off-diagonal K2, and everything
 else stays isolated: g disjoint-union m K2 disjoint-union (n^2 - n - 2m) K1.
+verify_components checks a graph against that definition cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .graphs import Graph, standard_graph
+from .graphs import Graph
 from .membership import GridLabeling, GridShape, graph_from_quadruples
-
-CANONICAL_ORDER_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -55,38 +53,20 @@ def build_ppt_graph(g: Graph) -> tuple[Graph, GridLabeling]:
 
 
 def verify_components(h: Graph, g: Graph) -> bool:
-    """True iff h decomposes as g plus one K2 per edge of g plus isolated rest.
+    """True iff h is exactly the embedding build_ppt_graph makes from g.
 
-    Components are compared exactly, by canonical form up to isomorphism, so
-    every component must have order at most CANONICAL_ORDER_LIMIT.
+    Cell (i, j) is vertex i*n + j. h must have n^2 vertices, its diagonal
+    cells (u, u) must induce g, cells (u, v) and (v, u) must be adjacent
+    exactly when uv is an edge of g, and h must have 2|E(g)| edges, so no
+    other pair is joined. O(n^2), with no cap on n; a vertex-permuted copy
+    of the embedding is rejected.
     """
-    n, m = g.n, g.edge_count
-    isolated = n * n - n - 2 * m
-    if h.n != n * n or isolated < 0:
+    n = g.n
+    if h.n != n * n or h.edge_count != 2 * g.edge_count:
         return False
-    expected = [canonical_form(g.induced(comp)) for comp in g.components()]
-    expected.extend([canonical_form(standard_graph("complete", 2))] * m)
-    expected.extend([canonical_form(standard_graph("edgeless", 1))] * isolated)
-    actual = [canonical_form(h.induced(comp)) for comp in h.components()]
-    return sorted(expected) == sorted(actual)
-
-
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """(order, least packed adjacency over all vertex permutations).
-
-    Equal forms mean isomorphic graphs. Brute force over permutations, so
-    only orders up to CANONICAL_ORDER_LIMIT are accepted.
-    """
-    if g.n > CANONICAL_ORDER_LIMIT:
-        raise ValueError(f"canonical form by permutation scan handles order <= {CANONICAL_ORDER_LIMIT}")
-    edges = list(g.edges())
-    best: int | None = None
-    for perm in permutations(range(g.n)):
-        acc = 0
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            acc |= 1 << (a * g.n + b)
-            acc |= 1 << (b * g.n + a)
-        if best is None or acc < best:
-            best = acc
-    return (g.n, 0 if best is None else best)
+    for u in range(n):
+        for v in range(u + 1, n):
+            e = g.has_edge(u, v)
+            if h.has_edge(u * n + u, v * n + v) != e or h.has_edge(u * n + v, v * n + u) != e:
+                return False
+    return True

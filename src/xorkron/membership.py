@@ -140,21 +140,27 @@ class Certificate:
 
     @staticmethod
     def from_dict(data: dict) -> Certificate:
+        """Rebuild a certificate; raises ValueError on a mistyped or missized field."""
         verdict = data["verdict"]
         if verdict not in ("member", "non-member"):
             raise ValueError(f"verdict must be 'member' or 'non-member', got {verdict!r}")
-        shape = GridShape(*data["shape"])
+        shape = GridShape(*_int_tuple(data["shape"], 2, "shape"))
+        if not isinstance(data["graph6"], str):
+            raise ValueError("graph6 must be a string")
         graph = graph6_decode(data["graph6"])
         labeling = None
         if "labeling" in data:
-            labeling = GridLabeling(shape, tuple((i, j) for i, j in data["labeling"]))
+            cells = _list_of(data["labeling"], "labeling")
+            labeling = GridLabeling(shape, tuple(_int_tuple(c, 2, "labeling cell") for c in cells))
         summands = None
         if "summands" in data:
-            summands = tuple(tuple(s) for s in data["summands"])
+            summands = tuple(_int_tuple(s, 4, "summand") for s in _list_of(data["summands"], "summands"))
         witness = None
         if "witness" in data:
             w = data["witness"]
-            edge = tuple(w["edge"]) if "edge" in w else None
+            if not isinstance(w, dict):
+                raise ValueError("witness must be an object")
+            edge = _int_tuple(w["edge"], 2, "witness edge") if "edge" in w else None
             witness = Witness(w["reason"], edge)
         return Certificate(
             verdict == "member",
@@ -169,6 +175,20 @@ class Certificate:
     @staticmethod
     def from_json(text: str) -> Certificate:
         return Certificate.from_dict(json.loads(text))
+
+
+def _list_of(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _int_tuple(value: object, length: int, what: str) -> tuple[int, ...]:
+    """value as a tuple of exactly length ints (JSON booleans excluded)."""
+    items = _list_of(value, what)
+    if len(items) != length or not all(type(x) is int for x in items):
+        raise ValueError(f"{what} must be {length} integers, got {value!r}")
+    return tuple(items)
 
 
 def find_violation(k: Graph, shape: GridShape) -> Witness | None:

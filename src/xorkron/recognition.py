@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import Graph
+from .graphs import Graph, _mask_to_list
 from .membership import (
     REASON_EDGE_BOUND,
     REASON_NO_PARTITION,
@@ -98,7 +98,7 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, labelings need {p * q}")
     for blocks in _independent_partitions(k, p, q):
-        row_sets = [_mask_to_sorted(b) for b in blocks]
+        row_sets = [_mask_to_list(b) for b in blocks]
         yield from _column_assignments(k, row_sets, shape)
 
 
@@ -206,11 +206,3 @@ def _canonical_cells(cells: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int
             col_map[j] = len(col_map)
         out.append((row_map[i], col_map[j]))
     return tuple(out)
-
-
-def _mask_to_sorted(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out

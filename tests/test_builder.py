@@ -15,7 +15,7 @@ from xorkron import (
     standard_graph,
     verify_components,
 )
-from xorkron.builder import CANONICAL_ORDER_LIMIT, ComponentSummary, canonical_form
+from xorkron.builder import ComponentSummary
 
 
 def test_single_edge_gives_the_four_vertex_matching():
@@ -102,10 +102,28 @@ def test_component_summary_invariant():
     assert s.total_vertices == 3 and s.entries == ((3, 2, (2, 1, 1)),)
 
 
-def test_canonical_form_identifies_isomorphs():
-    a = new_graph(4, [(0, 1), (1, 2), (2, 3)])
-    b = new_graph(4, [(2, 0), (0, 3), (3, 1)])  # the same path, renamed
-    assert canonical_form(a) == canonical_form(b)
-    assert canonical_form(a) != canonical_form(standard_graph("cycle", 4))
-    with pytest.raises(ValueError):
-        canonical_form(standard_graph("edgeless", CANONICAL_ORDER_LIMIT + 1))
+@pytest.mark.parametrize("kind, n", [("cycle", 9), ("path", 10), ("complete", 12)])
+def test_verify_components_has_no_order_cap(kind, n):
+    g = standard_graph(kind, n)
+    h, _ = build_ppt_graph(g)
+    assert verify_components(h, g)
+
+
+def test_verify_components_rejects_a_permuted_embedding():
+    g = standard_graph("path", 4)
+    h, _ = build_ppt_graph(g)
+    rotated = h.relabel([(v + 1) % h.n for v in range(h.n)])
+    assert rotated != h and rotated.edge_count == h.edge_count
+    assert not verify_components(rotated, g)
+
+
+def test_verify_components_rejects_a_moved_diagonal_edge():
+    g = standard_graph("path", 4)
+    h, _ = build_ppt_graph(g)
+    n = g.n
+    diagonal_edge = (0, n + 1)  # cells (0, 0) and (1, 1)
+    off_diagonal = (2, 2 * n + 3)  # cells (0, 2) and (2, 3), joined by no edge of g
+    assert h.has_edge(*diagonal_edge) and not h.has_edge(*off_diagonal)
+    moved = new_graph(h.n, [e for e in h.edges() if e != diagonal_edge] + [off_diagonal])
+    assert moved.edge_count == h.edge_count
+    assert not verify_components(moved, g)

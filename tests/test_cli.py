@@ -4,13 +4,30 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from xorkron import graph6_decode, graph6_encode, new_graph, standard_graph, tensor_product
+import xorkron
+from xorkron import (
+    GridShape,
+    graph6_decode,
+    graph6_encode,
+    is_spanning_cross_like,
+    new_graph,
+    recognize,
+    standard_graph,
+    tensor_product,
+)
 from xorkron.cli import main
+
+SRC = Path(xorkron.__file__).resolve().parent.parent
 
 MATCHING_G6 = graph6_encode(tensor_product(standard_graph("complete", 2), standard_graph("complete", 2)))
 PRODUCT_33_G6 = graph6_encode(tensor_product(standard_graph("complete", 3), standard_graph("complete", 3)))
@@ -87,6 +104,9 @@ def test_decompose(capsys):
     code, out, _ = run(capsys, "decompose", "--p", "3", "--q", "3", PRODUCT_33_G6)
     assert code == 0
     assert len(json.loads(out)["summands"]) == 9
+    for graph, want in ((PRODUCT_33_G6, 0), ("P9", 1)):
+        results = [run(capsys, cmd, "--p", "3", "--q", "3", graph)[:2] for cmd in ("decompose", "member")]
+        assert results[0] == results[1] and results[0][0] == want
 
 
 def test_t2_with_oracle(capsys):
@@ -159,9 +179,69 @@ def test_verify_command(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 1 and "verify:" in err
 
+    tampered["summands"] = [["0", 1, 0, 1]]
+    cert_path.write_text(json.dumps(tampered))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and err.startswith("error: unreadable certificate:")
+
     cert_path.write_text("{not json")
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _container_paths(node, path=()):
+    """Key paths to every dict and list inside a JSON value, the root first."""
+    yield path
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(child, (dict, list)):
+            yield from _container_paths(child, path + (key,))
+
+
+def _sample_certificates() -> list[str]:
+    """Member and non-member certificates, with identity and permuted labelings."""
+    shape = GridShape(3, 3)
+    p3 = standard_graph("path", 3)
+    permuted = tensor_product(p3, p3).relabel([4, 0, 8, 2, 6, 1, 3, 5, 7])
+    return [
+        is_spanning_cross_like(graph6_decode(PRODUCT_33_G6), shape).to_json(),
+        is_spanning_cross_like(standard_graph("path", 9), shape).to_json(),
+        recognize(permuted, shape).to_json(),
+        recognize(standard_graph("path", 9), shape).to_json(),
+    ]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_sample_certificates()), st.data())
+def test_verify_never_raises_on_mutated_certificates(tmp_path, capsys, text, data):
+    cert = json.loads(text)
+    node = cert
+    for key in data.draw(st.sampled_from(list(_container_paths(cert)))):
+        node = node[key]
+    keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+    op = data.draw(st.sampled_from(["drop", "retype", "lengthen"] if keys else ["lengthen"]))
+    if op == "lengthen":
+        extra = data.draw(JSON_VALUES)
+        if isinstance(node, dict):
+            node[data.draw(st.text(max_size=3))] = extra
+        else:
+            node.append(extra)
+    else:
+        key = data.draw(st.sampled_from(keys))
+        if op == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(node[key])))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path)]) in (0, 1, 2)
+    capsys.readouterr()
 
 
 def test_graph_from_file_and_stdin(tmp_path, capsys, monkeypatch):
@@ -182,17 +262,30 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_console_script_runs():
-    proc = subprocess.run(
-        ["xorkron", "member", "--p", "2", "--q", "2", MATCHING_G6],
+def run_module(*argv: str) -> subprocess.CompletedProcess:
+    """Run `python -m xorkron` in a child with the package's source dir on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "xorkron", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_runs():
+    proc = run_module("member", "--p", "2", "--q", "2", MATCHING_G6)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "member"
 
 
 def test_console_script_help():
-    proc = subprocess.run(["xorkron", "--help"], capture_output=True, text=True)
+    proc = run_module("--help")
     assert proc.returncode == 0
     assert "census" in proc.stdout
+
+
+def test_console_script_entry_point_is_declared():
+    text = (SRC.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^xorkron\s*=\s*"xorkron\.cli:entry"\s*$', scripts, re.MULTILINE)

@@ -201,6 +201,34 @@ def test_certificate_from_dict_rejects_bad_verdict():
         Certificate.from_dict({"verdict": "maybe", "shape": [2, 2], "graph6": "C`"})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("graph6", 7),
+        ("shape", ["2", 2]),
+        ("shape", [2, 2, 2]),
+        ("shape", [2, True]),
+        ("labeling", [[0, 0], [0, 1], [1, 0], [1]]),
+        ("labeling", [[0, 0], [0, 1], [1, 0], "11"]),
+        ("summands", [["0", 1, 0, 1]]),
+        ("summands", [[0, 1, 0]]),
+        ("summands", [[0, 1, 0, 1.0]]),
+        ("summands", {"0": [0, 1, 0, 1]}),
+    ],
+)
+def test_certificate_from_dict_rejects_mistyped_member_fields(field, value):
+    data = json.loads(is_spanning_cross_like(_complete_product(2, 2), GridShape(2, 2)).to_json())
+    with pytest.raises(ValueError):
+        Certificate.from_dict({**data, field: value})
+
+
+@pytest.mark.parametrize("edge", [[0], [0, 1, 2], [0, "1"], "01"])
+def test_certificate_from_dict_rejects_mistyped_witness_edge(edge):
+    data = json.loads(is_spanning_cross_like(new_graph(4, [(0, 1), (2, 3)]), GridShape(2, 2)).to_json())
+    with pytest.raises(ValueError):
+        Certificate.from_dict({**data, "witness": {**data["witness"], "edge": edge}})
+
+
 def test_empty_decomposition_flag():
     cert = is_spanning_cross_like(standard_graph("edgeless", 4), GridShape(2, 2))
     assert cert.verdict and cert.summands == () and cert.empty_decomposition

@@ -1,7 +1,7 @@
 """Graphs as XOR-combinations of tensor products, with certificates."""
 
 from .algebra import TensorSummand, tensor_2sum, tensor_elementary, tensor_product, two_sum
-from .builder import ComponentSummary, build_ppt_graph, component_summary, verify_components
+from .builder import build_ppt_graph, verify_components
 from .graphs import (
     Graph,
     disjoint_union,
@@ -26,29 +26,18 @@ from .membership import (
     verify_certificate,
 )
 from .recognition import has_independent_row_partition, prefilter, recognize, valid_labelings
-from .t2 import (
-    PairMatrix,
-    gf2_rank,
-    pair_matrix,
-    t2_bruteforce_oracle,
-    t2_exact,
-    t2_min_over_labelings,
-)
-from .transpose import BlockMatrix, format_matrix_text, parse_matrix_text, partial_transpose, ppt_test
+from .t2 import gf2_rank, pair_matrix, t2_bruteforce_oracle, t2_exact, t2_min_over_labelings
+from .transpose import format_matrix_text, parse_matrix_text, partial_transpose, ppt_test
 
 __all__ = [
-    "BlockMatrix",
     "Certificate",
-    "ComponentSummary",
     "Graph",
     "GridLabeling",
     "GridShape",
-    "PairMatrix",
     "TensorSummand",
     "Witness",
     "build_ppt_graph",
     "census",
-    "component_summary",
     "disjoint_union",
     "edge_bound_check",
     "elementary_decomposition",

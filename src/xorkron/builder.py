@@ -9,33 +9,8 @@ verify_components checks a graph against that definition cell by cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph
 from .membership import GridLabeling, GridShape, graph_from_quadruples
-
-
-@dataclass(frozen=True)
-class ComponentSummary:
-    """Multiset of (order, edge count, degree sequence) over the components.
-
-    entries are sorted; orders must add up to total_vertices.
-    """
-
-    total_vertices: int
-    entries: tuple[tuple[int, int, tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        if sum(order for order, _, _ in self.entries) != self.total_vertices:
-            raise ValueError("component orders do not sum to the vertex count")
-
-
-def component_summary(g: Graph) -> ComponentSummary:
-    entries = []
-    for comp in g.components():
-        sub = g.induced(comp)
-        entries.append((sub.n, sub.edge_count, sub.degree_sequence()))
-    return ComponentSummary(g.n, tuple(sorted(entries)))
 
 
 def build_ppt_graph(g: Graph) -> tuple[Graph, GridLabeling]:

@@ -34,7 +34,7 @@ from .membership import (
 )
 from .recognition import recognize
 from .t2 import t2_bruteforce_oracle, t2_exact, t2_min_over_labelings
-from .transpose import BlockMatrix, format_matrix_text, partial_transpose, ppt_test
+from .transpose import format_matrix_text, partial_transpose, ppt_test
 
 RECOGNIZE_SCALE_LIMIT = 16
 CENSUS_BIT_LIMIT = 20
@@ -142,8 +142,7 @@ def cmd_ppt_check(args: argparse.Namespace) -> int:
     fixed = ppt_test(k, args.p)
     verdict = f"fixed-point: {'yes' if fixed else 'no'}"
     if args.dump:
-        m = partial_transpose(BlockMatrix.from_graph(k, args.p))
-        sys.stdout.write(format_matrix_text(m.rows, m.n))
+        sys.stdout.write(format_matrix_text(partial_transpose(k.rows, args.p), k.n))
         print(verdict, file=sys.stderr)
     else:
         print(verdict)

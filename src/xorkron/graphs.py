@@ -59,9 +59,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((row.bit_count() for row in self.rows), reverse=True))
-
     def relabel(self, perm: Sequence[int]) -> Graph:
         """Return the graph with vertex v renamed to perm[v]."""
         if sorted(perm) != list(range(self.n)):
@@ -72,44 +69,6 @@ class Graph:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
         return Graph(self.n, rows)
-
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by minimum vertex."""
-        seen = 0
-        out: list[list[int]] = []
-        for s in range(self.n):
-            if (seen >> s) & 1:
-                continue
-            comp = 1 << s
-            frontier = 1 << s
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    nxt |= self.rows[v]
-                    m &= m - 1
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
-            out.append(_mask_to_list(comp))
-        return out
-
-    def induced(self, vertices: Sequence[int]) -> Graph:
-        """Induced subgraph; vertex k of the result is vertices[k]."""
-        index = {v: k for k, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("duplicate vertex in induced-subgraph selection")
-        rows = [0] * len(vertices)
-        for v, k in index.items():
-            m = self.rows[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                j = index.get(w)
-                if j is not None:
-                    rows[k] |= 1 << j
-        return Graph(len(vertices), rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

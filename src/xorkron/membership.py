@@ -155,6 +155,10 @@ class Certificate:
         summands = None
         if "summands" in data:
             summands = tuple(_int_tuple(s, 4, "summand") for s in _list_of(data["summands"], "summands"))
+            for s in summands:
+                problem = _summand_problem(s, shape)
+                if problem:
+                    raise ValueError(problem)
         witness = None
         if "witness" in data:
             w = data["witness"]
@@ -189,6 +193,14 @@ def _int_tuple(value: object, length: int, what: str) -> tuple[int, ...]:
     if len(items) != length or not all(type(x) is int for x in items):
         raise ValueError(f"{what} must be {length} integers, got {value!r}")
     return tuple(items)
+
+
+def _summand_problem(s: tuple[int, ...], shape: GridShape) -> str | None:
+    """Why s names no cross of the grid, or None when 0 <= i < i2 < p and 0 <= j < j2 < q."""
+    i, i2, j, j2 = s
+    if 0 <= i < i2 < shape.p and 0 <= j < j2 < shape.q:
+        return None
+    return f"summand {list(s)} is not a cross of the {shape.p} x {shape.q} grid"
 
 
 def find_violation(k: Graph, shape: GridShape) -> Witness | None:
@@ -328,7 +340,9 @@ def verify_certificate(cert: Certificate) -> list[str]:
             expect = elementary_decomposition(relabeled, shape)
             if tuple(cert.summands) != expect:
                 problems.append("summand list does not match the relabeled graph")
-            if graph_from_quadruples(shape, cert.summands) != relabeled:
+            outside = [pb for pb in (_summand_problem(s, shape) for s in cert.summands) if pb]
+            problems.extend(outside)
+            if not outside and graph_from_quadruples(shape, cert.summands) != relabeled:
                 problems.append("summands do not XOR back to the relabeled graph")
         if cert.empty_decomposition != (k.edge_count == 0):
             problems.append("empty_decomposition flag disagrees with the edge count")

@@ -9,7 +9,6 @@ edgeless member needs two summands (one product is never edgeless).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -19,47 +18,21 @@ from .membership import GridShape, elementary_decomposition
 from .recognition import valid_labelings
 
 
-@dataclass(frozen=True)
-class PairMatrix:
-    """GF(2) matrix with one bit per cross pair of a labeled member.
+def pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:
+    """Pair matrix of a labeled member as bit rows; raises when k is not one.
 
-    Rows are indexed by unordered grid-row pairs, columns by unordered
-    grid-column pairs, both in lexicographic order. bits[r] packs row r with
-    bit t for column pair t.
+    Row r stands for the r-th grid-row pair (i, i2) and bit t of rows[r] for
+    the t-th grid-column pair (j, j2), both in the lexicographic order of
+    itertools.combinations. The bit is set iff the cross (i, i2, j, j2) is a
+    summand of k.
     """
-
-    shape: GridShape
-    row_pairs: tuple[tuple[int, int], ...]
-    col_pairs: tuple[tuple[int, int], ...]
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != len(self.row_pairs):
-            raise ValueError("one bit row per row pair required")
-        full = (1 << len(self.col_pairs)) - 1
-        for r, row in enumerate(self.bits):
-            if row < 0 or row & ~full:
-                raise ValueError(f"bit row {r} exceeds {len(self.col_pairs)} columns")
-
-    def entry(self, r: int, c: int) -> int:
-        return (self.bits[r] >> c) & 1
-
-    @property
-    def set_bit_count(self) -> int:
-        return sum(row.bit_count() for row in self.bits)
-
-
-def pair_matrix(k: Graph, shape: GridShape) -> PairMatrix:
-    """Pair matrix of a labeled member; raises when k is not one."""
     p, q = shape
-    row_pairs = tuple(combinations(range(p), 2))
-    col_pairs = tuple(combinations(range(q), 2))
-    row_index = {pair: t for t, pair in enumerate(row_pairs)}
-    col_index = {pair: t for t, pair in enumerate(col_pairs)}
-    bits = [0] * len(row_pairs)
+    row_index = {pair: t for t, pair in enumerate(combinations(range(p), 2))}
+    col_index = {pair: t for t, pair in enumerate(combinations(range(q), 2))}
+    rows = [0] * len(row_index)
     for i, i2, j, j2 in elementary_decomposition(k, shape):
-        bits[row_index[(i, i2)]] |= 1 << col_index[(j, j2)]
-    return PairMatrix(shape, row_pairs, col_pairs, tuple(bits))
+        rows[row_index[(i, i2)]] |= 1 << col_index[(j, j2)]
+    return tuple(rows)
 
 
 def gf2_rank(rows: tuple[int, ...] | list[int]) -> int:
@@ -78,10 +51,10 @@ def gf2_rank(rows: tuple[int, ...] | list[int]) -> int:
 
 def t2_exact(k: Graph, shape: GridShape) -> int:
     """Least number of product summands composing k under its given labeling."""
-    pm = pair_matrix(k, shape)
-    if not any(pm.bits):
+    rows = pair_matrix(k, shape)
+    if not any(rows):
         return 2
-    return gf2_rank(pm.bits)
+    return gf2_rank(rows)
 
 
 def t2_bruteforce_oracle(k: Graph, shape: GridShape, max_l: int = 4) -> int | None:

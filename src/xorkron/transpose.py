@@ -2,62 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class BlockMatrix:
-    """Square 0/1 matrix of order n viewed as a p x p grid of q x q blocks.
-
-    Rows are bit-packed ints; bit c of rows[r] is entry (r, c).
-    """
-
-    n: int
-    p: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValueError(f"block grid size must be positive, got {self.p}")
-        if self.n % self.p:
-            raise ValueError(f"block size p={self.p} does not divide order n={self.n}")
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        full = (1 << self.n) - 1
-        for r, row in enumerate(self.rows):
-            if row < 0 or row & ~full:
-                raise ValueError(f"row {r} has bits outside 0..{self.n - 1}")
-
-    @property
-    def q(self) -> int:
-        return self.n // self.p
-
-    def entry(self, r: int, c: int) -> int:
-        return (self.rows[r] >> c) & 1
-
-    @staticmethod
-    def from_graph(g: Graph, p: int) -> BlockMatrix:
-        return BlockMatrix(g.n, p, g.rows)
-
-
-def partial_transpose(m: BlockMatrix) -> BlockMatrix:
+def partial_transpose(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Transpose each q x q block in place on the p x p block grid.
 
-    Entry (s1*q + r1, s2*q + r2) of the result is entry (s1*q + r2, s2*q + r1)
-    of the input: block positions stay put, block contents transpose.
+    rows is a square 0/1 matrix of order n = len(rows) as bit rows: bit c of
+    rows[r] is entry (r, c). p must divide n, and q = n // p. Entry
+    (s1*q + r1, s2*q + r2) of the result is entry (s1*q + r2, s2*q + r1) of
+    the input: block positions stay put, block contents transpose. Output
+    row s1*q + r1 gathers, from each input row s1*q + r2 of its block row,
+    the bits at in-block column r1 and moves them to in-block column r2.
     """
-    q = m.q
-    rows = [0] * m.n
-    for s1 in range(m.p):
+    n = len(rows)
+    if p < 1:
+        raise ValueError(f"block grid size must be positive, got {p}")
+    if n % p:
+        raise ValueError(f"block size p={p} does not divide order n={n}")
+    full = (1 << n) - 1
+    for r, row in enumerate(rows):
+        if row < 0 or row & ~full:
+            raise ValueError(f"row {r} has bits outside 0..{n - 1}")
+    q = n // p
+    lane = sum(1 << (s * q) for s in range(p))  # in-block column 0 of every block
+    out = []
+    for s1 in range(p):
+        block_row = rows[s1 * q:(s1 + 1) * q]
         for r1 in range(q):
+            mask = lane << r1
             acc = 0
-            for s2 in range(m.p):
-                for r2 in range(q):
-                    acc |= m.entry(s1 * q + r2, s2 * q + r1) << (s2 * q + r2)
-            rows[s1 * q + r1] = acc
-    return BlockMatrix(m.n, m.p, tuple(rows))
+            for r2, row in enumerate(block_row):
+                bits = row & mask
+                acc |= bits << (r2 - r1) if r2 >= r1 else bits >> (r1 - r2)
+            out.append(acc)
+    return tuple(out)
 
 
 def ppt_test(k: Graph, p: int) -> bool:
@@ -71,8 +50,7 @@ def ppt_test(k: Graph, p: int) -> bool:
         raise ValueError(f"partial-transpose test needs p >= 2, got {p}")
     if k.n % p:
         raise ValueError(f"p={p} does not divide the vertex count {k.n}")
-    m = BlockMatrix.from_graph(k, p)
-    return partial_transpose(m).rows == m.rows
+    return partial_transpose(k.rows, p) == k.rows
 
 
 def format_matrix_text(rows: tuple[int, ...] | list[int], n: int) -> str:

@@ -184,6 +184,11 @@ def test_verify_command(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 2 and err.startswith("error: unreadable certificate:")
 
+    tampered["summands"] = [[0, 5, 0, 1]]
+    cert_path.write_text(json.dumps(tampered))
+    code, _, err = run(capsys, "verify", str(cert_path))
+    assert code == 2 and err.startswith("error: unreadable certificate: summand [0, 5, 0, 1]")
+
     cert_path.write_text("{not json")
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 2

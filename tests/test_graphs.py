@@ -79,14 +79,6 @@ def test_union_edge_count_is_sum():
     assert disjoint_union(parts).edge_count == sum(g.edge_count for g in parts)
 
 
-def test_components_and_induced():
-    g = disjoint_union([standard_graph("path", 3), standard_graph("complete", 2)])
-    comps = g.components()
-    assert comps == [[0, 1, 2], [3, 4]]
-    assert g.induced(comps[0]) == standard_graph("path", 3)
-    assert g.induced(comps[1]) == standard_graph("complete", 2)
-
-
 def test_relabel_roundtrip():
     rng = random.Random(3)
     g = random_graph(rng, 7)
@@ -103,7 +95,6 @@ def test_relabel_roundtrip():
 def test_degrees():
     p4 = standard_graph("path", 4)
     assert p4.degree(0) == 1 and p4.degree(1) == 2
-    assert p4.degree_sequence() == (2, 2, 1, 1)
 
 
 def test_graph6_pinned_strings():

@@ -214,6 +214,10 @@ def test_certificate_from_dict_rejects_bad_verdict():
         ("summands", [[0, 1, 0]]),
         ("summands", [[0, 1, 0, 1.0]]),
         ("summands", {"0": [0, 1, 0, 1]}),
+        ("summands", [[0, 5, 0, 1]]),
+        ("summands", [[1, 0, 0, 1]]),
+        ("summands", [[0, 1, 1, 1]]),
+        ("summands", [[-1, 1, 0, 1]]),
     ],
 )
 def test_certificate_from_dict_rejects_mistyped_member_fields(field, value):
@@ -251,7 +255,16 @@ def test_verify_certificate_catches_tampering():
     assert verify_certificate(no_summands)
 
     wrong_summands = Certificate(True, shape, k, labeling=honest.labeling, summands=())
-    assert verify_certificate(wrong_summands)
+    assert verify_certificate(wrong_summands) == [
+        "summand list does not match the relabeled graph",
+        "summands do not XOR back to the relabeled graph",
+    ]
+
+    outside = Certificate(True, shape, k, labeling=honest.labeling, summands=((0, 1, 0, 1), (0, 5, 0, 1)))
+    assert verify_certificate(outside) == [
+        "summand list does not match the relabeled graph",
+        "summand [0, 5, 0, 1] is not a cross of the 2 x 2 grid",
+    ]
 
     # this relabeling parks an edge inside a column
     twisted = GridLabeling(shape, ((0, 0), (0, 1), (1, 1), (1, 0)))

@@ -14,6 +14,7 @@ from xorkron import (
     gf2_rank,
     graph_from_quadruples,
     pair_matrix,
+    pair_quadruples,
     standard_graph,
     t2_bruteforce_oracle,
     t2_exact,
@@ -40,15 +41,28 @@ def _chain(shape: GridShape):
 
 def test_pair_matrix_examples():
     shape = GridShape(3, 3)
-    full = pair_matrix(_complete_product(3, 3), shape)
-    assert full.bits == (0b111, 0b111, 0b111)
-    empty = pair_matrix(standard_graph("edgeless", 9), shape)
-    assert empty.bits == (0, 0, 0)
-    two = pair_matrix(_chain(shape), shape)
+    assert pair_matrix(_complete_product(3, 3), shape) == (0b111, 0b111, 0b111)
+    assert pair_matrix(standard_graph("edgeless", 9), shape) == (0, 0, 0)
     # row pairs (0,1),(0,2),(1,2); column pairs likewise; bits at ((0,1),(0,1)) and ((1,2),(1,2))
-    assert two.row_pairs == ((0, 1), (0, 2), (1, 2))
-    assert two.bits == (0b001, 0, 0b100)
-    assert two.set_bit_count == 2
+    assert pair_matrix(_chain(shape), shape) == (0b001, 0, 0b100)
+
+    # bit t of row r is set iff (row pair r, column pair t) is a summand, pairs in combinations order
+    shape = GridShape(3, 4)
+    row_pairs = list(combinations(range(3), 2))
+    col_pairs = list(combinations(range(4), 2))
+    rng = random.Random(5)
+    for _ in range(20):
+        quads = [qd for qd in pair_quadruples(shape) if rng.random() < 0.4]
+        rows = pair_matrix(graph_from_quadruples(shape, quads), shape)
+        assert len(rows) == len(row_pairs)
+        got = {
+            row_pairs[r] + col_pairs[t]
+            for r, row in enumerate(rows)
+            for t in range(len(col_pairs))
+            if (row >> t) & 1
+        }
+        assert got == set(quads)
+        assert all(row >> len(col_pairs) == 0 for row in rows)
 
 
 def test_pair_matrix_rejects_non_member():
@@ -107,9 +121,9 @@ def test_oracle_agreement_on_small_censuses():
 def test_rank_never_exceeds_summand_count():
     shape = GridShape(3, 3)
     for k in census(shape):
-        pm = pair_matrix(k, shape)
-        if pm.set_bit_count:
-            assert t2_exact(k, shape) <= pm.set_bit_count
+        set_bits = sum(row.bit_count() for row in pair_matrix(k, shape))
+        if set_bits:
+            assert t2_exact(k, shape) <= set_bits
 
 
 def test_t2_invariant_under_grid_symmetries():

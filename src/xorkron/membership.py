@@ -386,8 +386,8 @@ def verify_certificate(cert: Certificate) -> list[str]:
             if k.n == shape.order and has_independent_row_partition(k, shape):
                 problems.append("no-partition witness but an independent row partition exists")
         elif w.reason == REASON_SEARCH_EXHAUSTED:
-            from .recognition import recognize
+            from .recognition import valid_labelings
 
-            if recognize(k, shape, use_prefilter=False).verdict:
+            if next(valid_labelings(k, shape), None) is not None:
                 problems.append("search-exhausted witness but a full search finds a valid labeling")
     return problems

@@ -91,7 +91,9 @@ def t2_min_over_labelings(k: Graph, shape: GridShape) -> int | None:
     """Least t2_exact over every valid labeling of k, or None for a non-member.
 
     Renumbering grid rows or columns permutes the pair matrix without
-    changing its rank, so scanning one labeling per partition orbit suffices.
+    changing its rank, and swapping false twins leaves the relabeled graph
+    as it is, so the labelings valid_labelings yields, which cover every
+    orbit under those moves, suffice.
     """
     best: int | None = None
     for lab in valid_labelings(k, shape):

@@ -42,14 +42,17 @@ def partial_transpose(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
 def ppt_test(k: Graph, p: int) -> bool:
     """True iff the adjacency matrix equals its blockwise partial transpose.
 
-    Needs p >= 2 and p dividing the vertex count; graphs composed by XOR of
-    tensor products with a size-p left factor always pass, but passing does
-    not certify membership.
+    Needs p >= 2, p dividing the vertex count and blocks of size n/p >= 2:
+    at p = 1 or p = n the transpose is the plain one or the identity, so
+    every graph would pass. Graphs composed by XOR of tensor products with a
+    size-p left factor always pass, but passing does not certify membership.
     """
     if p < 2:
         raise ValueError(f"partial-transpose test needs p >= 2, got {p}")
     if k.n % p:
         raise ValueError(f"p={p} does not divide the vertex count {k.n}")
+    if k.n // p < 2:
+        raise ValueError(f"partial-transpose test needs blocks of size n/p >= 2, got {k.n // p}")
     return partial_transpose(k.rows, p) == k.rows
 
 
@@ -59,9 +62,15 @@ def format_matrix_text(rows: tuple[int, ...] | list[int], n: int) -> str:
 
 
 def parse_matrix_text(text: str) -> tuple[int, tuple[int, ...]]:
-    """Inverse of format_matrix_text; returns (n, rows). Rows must be square."""
+    """Inverse of format_matrix_text; returns (n, rows). Rows must be square.
+
+    Blank lines are skipped, so text of line breaks alone is the 0 x 0
+    matrix, which format_matrix_text writes as one line break.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
+        if "\n" in text:
+            return 0, ()
         raise ValueError("empty matrix text")
     n = len(lines)
     rows = []

@@ -54,6 +54,73 @@ def _assignment_valid(k: Graph, cells, q: int) -> bool:
     return True
 
 
+def naive_least_labeling(k: Graph, p: int, q: int) -> tuple[tuple[int, int], ...] | None:
+    """Least valid labeling by plain least-first placement, or None.
+
+    Vertices take cells in order 0, 1, ...; each tries rows and columns
+    already used or the next unused one, least cell first, and is checked
+    against every placed vertex only. No propagation, no twin rule: the
+    first complete placement is the least valid labeling.
+    """
+    edges = {frozenset(e) for e in k.edges()}
+    cells: list[tuple[int, int]] = []
+    at: dict[tuple[int, int], int] = {}
+
+    def fits(v: int, i: int, j: int) -> bool:
+        for u, (i2, j2) in enumerate(cells):
+            joined = frozenset((u, v)) in edges
+            if i == i2 or j == j2:
+                if joined:
+                    return False
+            elif (i, j2) in at and (i2, j) in at:
+                if joined != (frozenset((at[(i, j2)], at[(i2, j)])) in edges):
+                    return False
+        return True
+
+    def place(v: int, rows_used: int, cols_used: int) -> bool:
+        if v == p * q:
+            return True
+        for i in range(min(rows_used + 1, p)):
+            for j in range(min(cols_used + 1, q)):
+                if (i, j) in at or not fits(v, i, j):
+                    continue
+                cells.append((i, j))
+                at[(i, j)] = v
+                if place(v + 1, max(rows_used, i + 1), max(cols_used, j + 1)):
+                    return True
+                cells.pop()
+                del at[(i, j)]
+        return False
+
+    return tuple(cells) if place(0, 0, 0) else None
+
+
+def is_canonical(cells) -> bool:
+    """Rows and columns are numbered in order of first use along v = 0, 1, ..."""
+    rows: list[int] = []
+    cols: list[int] = []
+    for i, j in cells:
+        if i not in rows:
+            if i != len(rows):
+                return False
+            rows.append(i)
+        if j not in cols:
+            if j != len(cols):
+                return False
+            cols.append(j)
+    return True
+
+
+def twins_in_order(k: Graph, cells) -> bool:
+    """Vertices with equal neighbourhoods sit in increasing cells."""
+    return all(
+        cells[u] < cells[w]
+        for u in range(k.n)
+        for w in range(u + 1, k.n)
+        if k.rows[u] == k.rows[w]
+    )
+
+
 def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
     return new_graph(n, edges)

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten exhaustively checked claims with runtime budgets.
+"""Acceptance gate: eleven checked claims with runtime budgets.
 
 Each test prints one "criterion N: PASS" line containing the measured
 figures (run pytest with -s to see them on success). Budgets are asserted,
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 
 import networkx as nx
 
@@ -24,6 +25,7 @@ from xorkron import (
     graph_from_quadruples,
     is_spanning_cross_like,
     new_graph,
+    pair_quadruples,
     ppt_test,
     recognize,
     standard_graph,
@@ -226,3 +228,39 @@ def test_criterion_10_codec_roundtrip_and_reference_pins():
         ref.add_edges_from(g.edges())
         assert nx.to_graph6_bytes(ref, header=False).strip().decode("ascii") == expected
     print("criterion 10: PASS (round-trips on the suite graphs; A_/C~/@ match the reference codec)")
+
+
+def test_criterion_11_sparse_members_recognized_within_budget():
+    # sparse members have many valid labelings; the search stops at the least one
+    rng = random.Random(777)
+    shape = GridShape(3, 4)
+    quads = list(pair_quadruples(shape))
+    disjoint = [(a, b) for a, b in combinations(quads, 2) if not {a[2], a[3]} & {b[2], b[3]}]
+    worst_3_4 = 0.0
+    for a, b in rng.sample(disjoint, 12):
+        perm = list(range(12))
+        rng.shuffle(perm)
+        g = graph_from_quadruples(shape, [a, b]).relabel(perm)
+        assert sum(1 for row in g.rows if not row) == 4
+        start = time.perf_counter()
+        cert = recognize(g, shape)
+        worst_3_4 = max(worst_3_4, time.perf_counter() - start)
+        assert cert.verdict and verify_certificate(cert) == []
+    assert worst_3_4 < 0.1
+
+    shape = GridShape(4, 4)
+    quads = list(pair_quadruples(shape))
+    worst_4_4 = 0.0
+    for _ in range(6):
+        perm = list(range(16))
+        rng.shuffle(perm)
+        g = graph_from_quadruples(shape, rng.sample(quads, 2)).relabel(perm)
+        start = time.perf_counter()
+        cert = recognize(g, shape)
+        worst_4_4 = max(worst_4_4, time.perf_counter() - start)
+        assert cert.verdict and verify_certificate(cert) == []
+    assert worst_4_4 < 2.0
+    print(
+        f"criterion 11: PASS (3x4 two disjoint crosses worst {worst_3_4 * 1000:.1f}ms, "
+        f"4x4 two crosses worst {worst_4_4 * 1000:.1f}ms)"
+    )

@@ -133,6 +133,11 @@ def test_ppt_check_and_dump(capsys):
     code, _, _ = run(capsys, "ppt-check", "--p", "3", "P4")
     assert code == 2
 
+    # p = n leaves 1x1 blocks, which every graph would pass
+    code, out, err = run(capsys, "ppt-check", "--p", "4", "P4")
+    assert code == 2 and out == ""
+    assert "n/p >= 2" in err
+
 
 def test_build_ppt(capsys):
     code, out, err = run(capsys, "build-ppt", "P3", "--verify")

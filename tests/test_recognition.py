@@ -28,9 +28,16 @@ from xorkron.membership import (
     REASON_SEARCH_EXHAUSTED,
     GridLabeling,
     find_violation,
+    pair_quadruples,
 )
 
-from .helpers import brute_valid_labelings, random_graph
+from .helpers import (
+    brute_valid_labelings,
+    is_canonical,
+    naive_least_labeling,
+    random_graph,
+    twins_in_order,
+)
 
 
 def _permuted(rng: random.Random, k):
@@ -157,3 +164,70 @@ def test_every_census_member_recognized_after_permutation():
             cert = recognize(_permuted(rng, k), shape)
             assert cert.verdict
             assert verify_certificate(cert) == []
+
+
+def _small_cases(rng: random.Random):
+    """Every graph at (2, 2); permuted census members and random graphs at (2, 3)."""
+    pairs = list(combinations(range(4), 2))
+    for mask in range(1 << 6):
+        yield new_graph(4, [pairs[t] for t in range(6) if (mask >> t) & 1]), 2, 2
+    for k in census(GridShape(2, 3)):
+        yield _permuted(rng, k), 2, 3
+    for density in (0.2, 0.4):
+        for _ in range(15):
+            yield random_graph(rng, 6, density), 2, 3
+
+
+def test_naive_least_labeling_is_the_brute_force_minimum():
+    for k, p, q in _small_cases(random.Random(101)):
+        brute = brute_valid_labelings(k, p, q)
+        assert naive_least_labeling(k, p, q) == (min(brute) if brute else None)
+
+
+def test_valid_labelings_against_brute_force():
+    for k, p, q in _small_cases(random.Random(103)):
+        brute = brute_valid_labelings(k, p, q)
+        got = [lab.cells for lab in valid_labelings(k, GridShape(p, q))]
+        assert all(a < b for a, b in zip(got, got[1:]))
+        assert got == sorted(c for c in brute if is_canonical(c) and twins_in_order(k, c))
+        assert got[:1] == sorted(brute)[:1]
+
+
+def _recognized_cells(g, shape):
+    cert = recognize(g, shape)
+    assert verify_certificate(cert) == []
+    return cert.labeling.cells if cert.verdict else None
+
+
+def test_recognize_returns_the_oracle_labeling_on_3_3_census():
+    rng = random.Random(107)
+    shape = GridShape(3, 3)
+    for k in census(shape):
+        g = _permuted(rng, k)
+        assert _recognized_cells(g, shape) == naive_least_labeling(g, 3, 3)
+
+
+def test_recognize_returns_the_oracle_labeling_on_sparse_3_4_members():
+    # two vertex-disjoint crosses (4K2 + 4K1): sparse members with many valid labelings
+    rng = random.Random(109)
+    shape = GridShape(3, 4)
+    quads = list(pair_quadruples(shape))
+    disjoint = [(a, b) for a, b in combinations(quads, 2) if not {a[2], a[3]} & {b[2], b[3]}]
+    for a, b in rng.sample(disjoint, 8):
+        g = _permuted(rng, graph_from_quadruples(shape, [a, b]))
+        assert g.edge_count == 4
+        assert _recognized_cells(g, shape) == naive_least_labeling(g, 3, 4)
+
+
+def test_recognize_returns_the_oracle_labeling_on_3_4_near_members():
+    rng = random.Random(113)
+    shape = GridShape(3, 4)
+    quads = list(pair_quadruples(shape))
+    for size in (2, 3, 4, 6, 9, 12, 14, 16):
+        k = graph_from_quadruples(shape, rng.sample(quads, size))
+        edges = set(k.edges())
+        absent = [e for e in combinations(range(12), 2) if e not in edges]
+        edges.remove(rng.choice(sorted(edges)))
+        edges.add(rng.choice(absent))
+        g = _permuted(rng, new_graph(12, sorted(edges)))
+        assert _recognized_cells(g, shape) == naive_least_labeling(g, 3, 4)

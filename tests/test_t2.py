@@ -9,6 +9,7 @@ import pytest
 
 from xorkron import (
     Graph,
+    GridLabeling,
     GridShape,
     census,
     gf2_rank,
@@ -24,7 +25,7 @@ from xorkron import (
     two_sum,
 )
 
-from .helpers import random_graph
+from .helpers import brute_valid_labelings, random_graph
 
 
 def _complete_product(p: int, q: int):
@@ -188,3 +189,18 @@ def test_min_over_labelings_never_exceeds_labeled_value():
     shape = GridShape(2, 3)
     for k in census(shape):
         assert t2_min_over_labelings(k, shape) <= t2_exact(k, shape)
+
+
+def test_min_over_labelings_is_the_minimum_over_every_brute_force_labeling():
+    # t2 under every one of the (pq)! bijections, against the orbit-pruned search
+    rng = random.Random(211)
+    for p, q in ((2, 2), (2, 3)):
+        shape = GridShape(p, q)
+        graphs = [k.relabel(rng.sample(range(p * q), p * q)) for k in census(shape)]
+        graphs += [random_graph(rng, p * q, 0.3) for _ in range(10)]
+        for k in graphs:
+            values = [
+                t2_exact(k.relabel(GridLabeling(shape, cells).permutation()), shape)
+                for cells in brute_valid_labelings(k, p, q)
+            ]
+            assert t2_min_over_labelings(k, shape) == (min(values) if values else None)

@@ -95,6 +95,14 @@ def test_ppt_test_rejects_bad_block_size():
         ppt_test(g, 1)
     with pytest.raises(ValueError):
         ppt_test(g, 3)
+    # blocks of size 1 (p = n) or 0 (the empty graph) would make every graph a fixed point
+    with pytest.raises(ValueError):
+        ppt_test(g, 4)
+    with pytest.raises(ValueError):
+        ppt_test(standard_graph("complete", 2), 2)
+    with pytest.raises(ValueError):
+        ppt_test(standard_graph("edgeless", 0), 2)
+    assert not ppt_test(g, 2)
 
 
 def _symmetric_4x4_matrices():
@@ -149,3 +157,11 @@ def test_matrix_text_roundtrip():
         parse_matrix_text("0x\n00\n")
     with pytest.raises(ValueError):
         parse_matrix_text("")
+
+
+def test_matrix_text_roundtrip_at_every_small_order():
+    rng = random.Random(5)
+    for n in range(6):
+        rows = tuple(rng.getrandbits(n) if n else 0 for _ in range(n))
+        assert parse_matrix_text(format_matrix_text(rows, n)) == (n, rows)
+    assert format_matrix_text((), 0) == "\n"

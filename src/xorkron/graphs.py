@@ -82,14 +82,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
-def _mask_to_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
 def new_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse."""
     rows = [0] * n

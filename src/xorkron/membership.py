@@ -166,6 +166,9 @@ class Certificate:
                 raise ValueError("witness must be an object")
             edge = _int_tuple(w["edge"], 2, "witness edge") if "edge" in w else None
             witness = Witness(w["reason"], edge)
+        empty = data.get("empty_decomposition", False)
+        if not isinstance(empty, bool):
+            raise ValueError(f"empty_decomposition must be true or false, got {empty!r}")
         return Certificate(
             verdict == "member",
             shape,
@@ -173,7 +176,7 @@ class Certificate:
             labeling=labeling,
             summands=summands,
             witness=witness,
-            empty_decomposition=bool(data.get("empty_decomposition", False)),
+            empty_decomposition=empty,
         )
 
     @staticmethod
@@ -212,15 +215,37 @@ def find_violation(k: Graph, shape: GridShape) -> Witness | None:
     p, q = shape
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
+    missing = None
     for u, v in k.edges():
-        if u // q == v // q or u % q == v % q:
-            return Witness(REASON_SAME_LINE, (u, v))
-    for u, v in k.edges():
-        i, j = u // q, u % q
-        i2, j2 = v // q, v % q
-        if not k.has_edge(i * q + j2, i2 * q + j):
-            return Witness(REASON_MISSING_PARTNER, (u, v))
+        reason = _edge_defect(k, q, u, v)
+        if reason == REASON_SAME_LINE:
+            return Witness(reason, (u, v))
+        if reason and missing is None:
+            missing = Witness(reason, (u, v))
+    return missing
+
+
+def _edge_defect(k: Graph, q: int, u: int, v: int) -> str | None:
+    """Which part of the cross condition edge uv breaks, or None when it meets it.
+
+    The edge must join distinct rows and columns of the q-column grid, and
+    the other diagonal of its rectangle must be an edge too.
+    """
+    i, j = u // q, u % q
+    i2, j2 = v // q, v % q
+    if i == i2 or j == j2:
+        return REASON_SAME_LINE
+    if not k.has_edge(i * q + j2, i2 * q + j):
+        return REASON_MISSING_PARTNER
     return None
+
+
+def _quads(k: Graph, q: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Cross quadruples (i, i2, j, j2) of a graph that meets the cross condition, sorted.
+
+    Each cross has two edges u < v, and exactly one of them has u % q < v % q.
+    """
+    return tuple(sorted((u // q, v // q, u % q, v % q) for u, v in k.edges() if u % q < v % q))
 
 
 def is_spanning_cross_like(k: Graph, shape: GridShape) -> Certificate:
@@ -228,7 +253,7 @@ def is_spanning_cross_like(k: Graph, shape: GridShape) -> Certificate:
     w = find_violation(k, shape)
     if w is not None:
         return Certificate(False, shape, k, witness=w)
-    quads = elementary_decomposition(k, shape)
+    quads = _quads(k, shape.q)
     return Certificate(
         True,
         shape,
@@ -246,20 +271,10 @@ def elementary_decomposition(k: Graph, shape: GridShape) -> tuple[tuple[int, int
     quadruples toggle disjoint edge pairs, so XOR of the corresponding
     two-edge graphs reproduces k exactly. Raises on a non-member.
     """
-    p, q = shape
     w = find_violation(k, shape)
     if w is not None:
         raise ValueError(f"not a labeled member: {w.reason} at edge {w.edge}")
-    quads = set()
-    for u, v in k.edges():
-        i, j = u // q, u % q
-        i2, j2 = v // q, v % q
-        if i > i2:
-            i, j, i2, j2 = i2, j2, i, j
-        if j > j2:
-            j, j2 = j2, j
-        quads.add((i, i2, j, j2))
-    return tuple(sorted(quads))
+    return _quads(k, shape.q)
 
 
 def edge_bound_check(k: Graph, shape: GridShape) -> tuple[int, bool]:
@@ -337,8 +352,7 @@ def verify_certificate(cert: Certificate) -> list[str]:
         if cert.summands is None:
             problems.append("member certificate is missing its summand list")
         else:
-            expect = elementary_decomposition(relabeled, shape)
-            if tuple(cert.summands) != expect:
+            if tuple(cert.summands) != _quads(relabeled, shape.q):
                 problems.append("summand list does not match the relabeled graph")
             outside = [pb for pb in (_summand_problem(s, shape) for s in cert.summands) if pb]
             problems.extend(outside)
@@ -365,21 +379,14 @@ def verify_certificate(cert: Certificate) -> list[str]:
                 if not (0 <= u < k.n and 0 <= v < k.n) or not k.has_edge(u, v):
                     problems.append(f"witness edge ({u}, {v}) is not an edge of the graph")
                 else:
-                    q = shape.q
+                    defect = _edge_defect(k, shape.q, u, v)
                     if w.reason == REASON_SAME_LINE:
-                        if u // q != v // q and u % q != v % q:
-                            problems.append(
-                                f"witness edge ({u}, {v}) joins distinct rows and columns"
-                            )
-                    else:
-                        i, j = u // q, u % q
-                        i2, j2 = v // q, v % q
-                        if i == i2 or j == j2:
-                            problems.append(
-                                f"witness edge ({u}, {v}) is collinear, not a missing-partner case"
-                            )
-                        elif k.has_edge(i * q + j2, i2 * q + j):
-                            problems.append(f"cross partner of witness edge ({u}, {v}) is present")
+                        if defect != REASON_SAME_LINE:
+                            problems.append(f"witness edge ({u}, {v}) joins distinct rows and columns")
+                    elif defect == REASON_SAME_LINE:
+                        problems.append(f"witness edge ({u}, {v}) is collinear, not a missing-partner case")
+                    elif defect is None:
+                        problems.append(f"cross partner of witness edge ({u}, {v}) is present")
         elif w.reason == REASON_NO_PARTITION:
             from .recognition import has_independent_row_partition
 

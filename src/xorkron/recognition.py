@@ -34,7 +34,28 @@ def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:
     p, q = shape
     if k.n != p * q:
         return False
-    return next(_independent_partitions(k, p, q), None) is not None
+    adj = k.rows
+
+    def fill(unused: int, need: int, cand: int) -> bool:
+        """True iff the open block takes need more vertices from cand and unused then splits.
+
+        Each block starts at the least unused vertex and takes its other
+        members in ascending order, so each partition is tried once.
+        """
+        if need == 0:
+            if not unused:
+                return True
+            low = unused & -unused
+            rest = unused ^ low
+            return fill(rest, q - 1, rest & ~adj[low.bit_length() - 1])
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if fill(unused ^ low, need - 1, cand & ~adj[low.bit_length() - 1]):
+                return True
+        return False
+
+    return fill((1 << k.n) - 1, 0, 0)
 
 
 def prefilter(k: Graph, shape: GridShape) -> Witness | None:
@@ -277,37 +298,3 @@ def _grid_geometry(p: int, q: int) -> tuple[tuple, tuple]:
         for r, c in cells
     )
     return lines, rectangles
-
-
-def _independent_partitions(k: Graph, p: int, q: int) -> Iterator[tuple[int, ...]]:
-    """Unordered partitions of the vertex set into p independent q-sets.
-
-    Each partition appears once, as bitmasks ordered by least element. The
-    block containing the least unplaced vertex is built first, its members
-    chosen in ascending order with adjacent vertices pruned as they go.
-    """
-    adj = k.rows
-    blocks: list[int] = []
-
-    def extend(unused: int, block: int, need: int, cand: int) -> Iterator[tuple[int, ...]]:
-        if need == 0:
-            blocks.append(block)
-            yield from rec(unused & ~block)
-            blocks.pop()
-            return
-        c = cand
-        while c and c.bit_count() >= need:
-            low = c & -c
-            v = low.bit_length() - 1
-            c &= c - 1
-            yield from extend(unused, block | low, need - 1, c & ~adj[v])
-
-    def rec(unused: int) -> Iterator[tuple[int, ...]]:
-        if len(blocks) == p:
-            yield tuple(blocks)
-            return
-        anchor_bit = unused & -unused
-        anchor = anchor_bit.bit_length() - 1
-        yield from extend(unused, anchor_bit, q - 1, unused & ~anchor_bit & ~adj[anchor])
-
-    yield from rec((1 << k.n) - 1)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 from xorkron import Graph, new_graph
 
@@ -52,6 +53,36 @@ def _assignment_valid(k: Graph, cells, q: int) -> bool:
         if not k.has_edge(position[(i, j2)], position[(i2, j)]):
             return False
     return True
+
+
+def brute_row_partition(k: Graph, p: int, q: int) -> bool:
+    """Whether some split of the vertices into p sets of q has no edge inside a set.
+
+    Tries every such split and tests each of its sets; no pruning.
+    """
+    if k.n != p * q:
+        return False
+    edges = set(k.edges())
+    return any(
+        all(pair not in edges for block in split for pair in combinations(block, 2))
+        for split in _row_splits(p, q)
+    )
+
+
+@lru_cache(maxsize=None)
+def _row_splits(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every split of range(p * q) into p sorted q-sets, each listed once."""
+
+    def splits(rest: tuple[int, ...]):
+        if not rest:
+            yield ()
+            return
+        for others in combinations(rest[1:], q - 1):
+            block = (rest[0],) + others
+            for tail in splits(tuple(v for v in rest if v not in block)):
+                yield (block,) + tail
+
+    return tuple(splits(tuple(range(p * q))))
 
 
 def naive_least_labeling(k: Graph, p: int, q: int) -> tuple[tuple[int, int], ...] | None:

@@ -178,7 +178,8 @@ def test_verify_command(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(cert_path))
     assert code == 0 and "certificate ok" in out
 
-    tampered = json.loads(cert_path.read_text())
+    honest = json.loads(cert_path.read_text())
+    tampered = dict(honest)
     tampered["summands"] = []
     cert_path.write_text(json.dumps(tampered))
     code, _, err = run(capsys, "verify", str(cert_path))
@@ -193,6 +194,11 @@ def test_verify_command(tmp_path, capsys):
     cert_path.write_text(json.dumps(tampered))
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 2 and err.startswith("error: unreadable certificate: summand [0, 5, 0, 1]")
+
+    for flag in (None, "yes", 2):
+        cert_path.write_text(json.dumps({**honest, "empty_decomposition": flag}))
+        code, _, err = run(capsys, "verify", str(cert_path))
+        assert code == 2 and err.startswith("error: unreadable certificate: empty_decomposition")
 
     cert_path.write_text("{not json")
     code, _, err = run(capsys, "verify", str(cert_path))

@@ -98,6 +98,12 @@ def test_missing_partner_witness():
     assert w == Witness(REASON_MISSING_PARTNER, (0, 3))
 
 
+def test_same_line_witness_beats_an_earlier_missing_partner():
+    # (0, 3) comes first and lacks its partner (1, 2); (2, 3) lies inside row 1
+    k = new_graph(4, [(0, 3), (2, 3)])
+    assert find_violation(k, GridShape(2, 2)) == Witness(REASON_SAME_LINE, (2, 3))
+
+
 def test_wrong_vertex_count_raises():
     with pytest.raises(ValueError):
         is_spanning_cross_like(standard_graph("edgeless", 5), GridShape(2, 2))
@@ -218,6 +224,9 @@ def test_certificate_from_dict_rejects_bad_verdict():
         ("summands", [[1, 0, 0, 1]]),
         ("summands", [[0, 1, 1, 1]]),
         ("summands", [[-1, 1, 0, 1]]),
+        ("empty_decomposition", None),
+        ("empty_decomposition", "yes"),
+        ("empty_decomposition", 2),
     ],
 )
 def test_certificate_from_dict_rejects_mistyped_member_fields(field, value):
@@ -275,9 +284,34 @@ def test_verify_certificate_catches_tampering():
     assert verify_certificate(fake_reject)
 
     fake_edge = Certificate(False, shape, k, witness=Witness(REASON_SAME_LINE, (0, 3)))
-    assert verify_certificate(fake_edge)
+    assert verify_certificate(fake_edge) == ["witness edge (0, 3) joins distinct rows and columns"]
 
     flag_lies = Certificate(
         True, shape, k, labeling=honest.labeling, summands=honest.summands, empty_decomposition=True
     )
     assert verify_certificate(flag_lies)
+
+
+CROSS = _complete_product(2, 2)  # edges (0, 3) and (1, 2)
+ROWS = new_graph(4, [(0, 1), (2, 3)])  # one edge inside each row of the 2 x 2 grid
+ONE_DIAGONAL = new_graph(4, [(0, 3)])  # a cross edge without its partner (1, 2)
+
+
+@pytest.mark.parametrize(
+    "k, reason, edge, problems",
+    [
+        (ROWS, REASON_SAME_LINE, (0, 1), []),
+        (ONE_DIAGONAL, REASON_MISSING_PARTNER, (0, 3), []),
+        (ONE_DIAGONAL, REASON_MISSING_PARTNER, (3, 0), []),
+        (CROSS, REASON_SAME_LINE, (1, 2), ["witness edge (1, 2) joins distinct rows and columns"]),
+        (ROWS, REASON_MISSING_PARTNER, (0, 1), ["witness edge (0, 1) is collinear, not a missing-partner case"]),
+        (CROSS, REASON_MISSING_PARTNER, (1, 2), ["cross partner of witness edge (1, 2) is present"]),
+        (CROSS, REASON_SAME_LINE, (0, 1), ["witness edge (0, 1) is not an edge of the graph"]),
+        (ROWS, REASON_MISSING_PARTNER, (0, 4), ["witness edge (0, 4) is not an edge of the graph"]),
+        (ROWS, REASON_SAME_LINE, None, ["same-row-or-column-edge witness needs an edge"]),
+        (ONE_DIAGONAL, REASON_MISSING_PARTNER, None, ["missing-cross-partner witness needs an edge"]),
+    ],
+)
+def test_verify_certificate_edge_witness_problems(k, reason, edge, problems):
+    cert = Certificate(False, GridShape(2, 2), k, witness=Witness(reason, edge))
+    assert verify_certificate(cert) == problems

@@ -1,7 +1,9 @@
-"""Package surface: the exported names exist and the runtime needs only the standard library."""
+"""Package surface: the exported names exist, no private helper is left unused, and the
+runtime needs only the standard library."""
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,41 @@ def test_import_loads_only_the_standard_library():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout == ""
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _used_names(node: ast.AST) -> set[str]:
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            used.add(sub.name)
+    return used
+
+
+def test_every_private_module_name_is_used():
+    # A module-level _name counts as used when a statement other than its own definition names it.
+    statements = [
+        node
+        for path in sorted((SRC / "xorkron").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+    ]
+    uses = [_used_names(node) for node in statements]
+    unused = [
+        name
+        for at, node in enumerate(statements)
+        for name in _defined_names(node)
+        if name.startswith("_")
+        and not name.startswith("__")
+        and not any(name in used for other, used in enumerate(uses) if other != at)
+    ]
+    assert unused == []

@@ -4,7 +4,6 @@ from .algebra import TensorSummand, tensor_2sum, tensor_elementary, tensor_produ
 from .builder import build_ppt_graph, verify_components
 from .graphs import (
     Graph,
-    disjoint_union,
     format_edge_list,
     graph6_decode,
     graph6_encode,
@@ -38,7 +37,6 @@ __all__ = [
     "Witness",
     "build_ppt_graph",
     "census",
-    "disjoint_union",
     "edge_bound_check",
     "elementary_decomposition",
     "format_edge_list",

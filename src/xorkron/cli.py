@@ -11,11 +11,12 @@ import json
 import os
 import re
 import sys
-from collections import Counter
+from math import comb
 
 from .algebra import tensor_elementary, tensor_product, two_sum
 from .builder import build_ppt_graph, verify_components
 from .graphs import (
+    GRAPH6_MAX_N,
     Graph,
     format_edge_list,
     graph6_decode,
@@ -27,13 +28,11 @@ from .membership import (
     Certificate,
     GridShape,
     census,
-    edge_bound_check,
     is_spanning_cross_like,
-    pair_quadruples,
     verify_certificate,
 )
 from .recognition import recognize
-from .t2 import t2_bruteforce_oracle, t2_exact, t2_min_over_labelings
+from .t2 import t2_bruteforce_oracle, t2_census_counts, t2_exact, t2_min_over_labelings
 from .transpose import format_matrix_text, partial_transpose, ppt_test
 
 RECOGNIZE_SCALE_LIMIT = 16
@@ -75,15 +74,17 @@ def _emit_graph(g: Graph, as_edges: bool) -> None:
         print(graph6_encode(g))
 
 
+def _report_problems(cert: Certificate) -> bool:
+    """Print each verify_certificate problem as a `verify:` line on stderr; True if any."""
+    problems = verify_certificate(cert)
+    for pb in problems:
+        print(f"verify: {pb}", file=sys.stderr)
+    return bool(problems)
+
+
 def _verify_or_code(cert: Certificate, wanted: bool, fallback: int) -> int:
     """Exit code for a certificate command, honoring a --verify request."""
-    if wanted:
-        problems = verify_certificate(cert)
-        if problems:
-            for pb in problems:
-                print(f"verify: {pb}", file=sys.stderr)
-            return 2
-    return fallback
+    return 2 if wanted and _report_problems(cert) else fallback
 
 
 def cmd_product(args: argparse.Namespace) -> int:
@@ -166,37 +167,31 @@ def cmd_build_ppt(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     shape = GridShape(args.p, args.q)
-    nbits = len(pair_quadruples(shape))
+    nbits = comb(args.p, 2) * comb(args.q, 2)
+    if args.stats:
+        # Closed form: the members are the subsets of the nbits crosses, so C(nbits, k) of
+        # them have 2k edges, and only K_p x K_q, the XOR of every cross, meets the bound.
+        if shape.order > GRAPH6_MAX_N:  # first: at 60 x 60 the product takes seconds, the binomials forever
+            raise ValueError(f"census --stats prints graph6, which handles n <= {GRAPH6_MAX_N}, got {shape.order}")
+        full = tensor_product(standard_graph("complete", args.p), standard_graph("complete", args.q))
+        out = {
+            "shape": [args.p, args.q],
+            "count": 1 << nbits,
+            "edge_bound": shape.edge_bound,
+            "edge_counts": {str(2 * k): comb(nbits, k) for k in range(nbits + 1)},
+            "t2_counts": {str(t): n for t, n in t2_census_counts(shape).items()},
+            "bound_attained": [graph6_encode(full)],
+        }
+        print(json.dumps(out, indent=2))
+        return 0
     if nbits > CENSUS_BIT_LIMIT and not args.force:
         print(
             f"error: census at ({args.p}, {args.q}) enumerates 2^{nbits} graphs; pass --force to proceed",
             file=sys.stderr,
         )
         return 2
-    if not args.stats:
-        for g in census(shape):
-            print(graph6_encode(g))
-        return 0
-    edge_hist: Counter[int] = Counter()
-    t2_hist: Counter[int] = Counter()
-    attained = []
-    count = 0
     for g in census(shape):
-        count += 1
-        edge_hist[g.edge_count] += 1
-        t2_hist[t2_exact(g, shape)] += 1
-        _, hit = edge_bound_check(g, shape)
-        if hit:
-            attained.append(graph6_encode(g))
-    out = {
-        "shape": [args.p, args.q],
-        "count": count,
-        "edge_bound": shape.edge_bound,
-        "edge_counts": {str(k): edge_hist[k] for k in sorted(edge_hist)},
-        "t2_counts": {str(k): t2_hist[k] for k in sorted(t2_hist)},
-        "bound_attained": attained,
-    }
-    print(json.dumps(out, indent=2))
+        print(graph6_encode(g))
     return 0
 
 
@@ -211,10 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: unreadable certificate: {exc}", file=sys.stderr)
         return 2
-    problems = verify_certificate(cert)
-    if problems:
-        for pb in problems:
-            print(f"verify: {pb}", file=sys.stderr)
+    if _report_problems(cert):
         return 1
     print("certificate ok")
     return 0
@@ -233,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
+    def add(name: str, func, help_text: str, *aliases: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text, aliases=list(aliases))
         sp.set_defaults(func=func)
         return sp
 
@@ -257,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(name, type=int)
     sp.add_argument("--edges", action="store_true", help="emit an edge list instead of graph6")
 
-    sp = add("member", cmd_member, "labeled membership certificate")
+    sp = add("member", cmd_member, "labeled membership certificate and its cross summands", "decompose")
     add_shape(sp)
     sp.add_argument("graph")
     sp.add_argument("--verify", action="store_true", help="recheck the certificate before exiting")
@@ -267,11 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("--force", action="store_true", help="lift the p*q scale guard")
     sp.add_argument("--no-prefilter", action="store_true", help="skip cheap rejections, search exhaustively")
-    sp.add_argument("--verify", action="store_true", help="recheck the certificate before exiting")
-
-    sp = add("decompose", cmd_member, "cross summands of a labeled member")
-    add_shape(sp)
-    sp.add_argument("graph")
     sp.add_argument("--verify", action="store_true", help="recheck the certificate before exiting")
 
     sp = add("t2", cmd_t2, "least summand count of a labeled member")

@@ -56,9 +56,6 @@ class Graph:
                 yield (u, u + 1 + ((m & -m).bit_length() - 1))
                 m &= m - 1
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     def relabel(self, perm: Sequence[int]) -> Graph:
         """Return the graph with vertex v renamed to perm[v]."""
         if sorted(perm) != list(range(self.n)):
@@ -116,17 +113,6 @@ def standard_graph(kind: str, n: int) -> Graph:
     else:
         edges = []
     return new_graph(n, edges)
-
-
-def disjoint_union(parts: Sequence[Graph]) -> Graph:
-    """Disjoint union; vertices of each part are shifted by a running offset."""
-    n = sum(g.n for g in parts)
-    rows: list[int] = []
-    offset = 0
-    for g in parts:
-        rows.extend(row << offset for row in g.rows)
-        offset += g.n
-    return Graph(n, rows)
 
 
 def graph6_encode(g: Graph) -> str:

@@ -336,6 +336,8 @@ def verify_certificate(cert: Certificate) -> list[str]:
     if k.n != shape.order:
         return [f"graph has {k.n} vertices but shape ({shape.p}, {shape.q}) needs {shape.order}"]
     if cert.verdict:
+        if cert.witness is not None:
+            problems.append("member certificate carries a witness")
         if cert.labeling is None:
             problems.append("member certificate is missing its labeling")
             return problems
@@ -361,6 +363,8 @@ def verify_certificate(cert: Certificate) -> list[str]:
         if cert.empty_decomposition != (k.edge_count == 0):
             problems.append("empty_decomposition flag disagrees with the edge count")
     else:
+        if cert.labeling is not None or cert.summands is not None or cert.empty_decomposition:
+            problems.append("non-member certificate carries a labeling, summands or empty_decomposition")
         if cert.witness is None:
             problems.append("non-member certificate is missing its witness")
             return problems
@@ -390,7 +394,7 @@ def verify_certificate(cert: Certificate) -> list[str]:
         elif w.reason == REASON_NO_PARTITION:
             from .recognition import has_independent_row_partition
 
-            if k.n == shape.order and has_independent_row_partition(k, shape):
+            if has_independent_row_partition(k, shape):
                 problems.append("no-partition witness but an independent row partition exists")
         elif w.reason == REASON_SEARCH_EXHAUSTED:
             from .recognition import valid_labelings

@@ -57,6 +57,26 @@ def t2_exact(k: Graph, shape: GridShape) -> int:
     return gf2_rank(rows)
 
 
+def t2_census_counts(shape: GridShape) -> dict[int, int]:
+    """How many labeled members of this shape have each t2 value, in key order.
+
+    Members are the subsets of crosses, so their pair matrices are all a x b
+    matrices over GF(2) with a = C(p,2), b = C(q,2). Rank r >= 1 is taken by
+    prod_{i<r} (2^a - 2^i)(2^b - 2^i) / (2^r - 2^i) of them (Landsberg 1893);
+    rank 0 is the edgeless member, which t2_exact puts at 2.
+    """
+    a, b = comb(shape.p, 2), comb(shape.q, 2)
+    counts: dict[int, int] = {}
+    for r in range(1, min(a, b) + 1):
+        num = den = 1
+        for i in range(r):
+            num *= ((1 << a) - (1 << i)) * ((1 << b) - (1 << i))
+            den *= (1 << r) - (1 << i)
+        counts[r] = num // den
+    counts[2] = counts.get(2, 0) + 1  # appended after key 1 when min(a, b) = 1
+    return counts
+
+
 def t2_bruteforce_oracle(k: Graph, shape: GridShape, max_l: int = 4) -> int | None:
     """Exact minimum summand count by exhaustive XOR search, or None past max_l.
 
@@ -66,6 +86,8 @@ def t2_bruteforce_oracle(k: Graph, shape: GridShape, max_l: int = 4) -> int | No
     Independent of the rank reduction on purpose.
     """
     p, q = shape
+    if max_l < 1:
+        raise ValueError(f"oracle search depth must be at least 1, got {max_l}")
     if comb(p, 2) + comb(q, 2) > 12:
         raise ValueError(f"oracle scale bound exceeded: C({p},2) + C({q},2) > 12")
     if k.n != p * q:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from xorkron import Graph, new_graph
+from xorkron import Graph, GridShape, census, edge_bound_check, graph6_encode, new_graph, t2_exact
 
 
 def naive_cross_like(k: Graph, p: int, q: int) -> bool:
@@ -150,6 +151,34 @@ def twins_in_order(k: Graph, cells) -> bool:
         for w in range(u + 1, k.n)
         if k.rows[u] == k.rows[w]
     )
+
+
+def census_stats_by_enumeration(p: int, q: int) -> dict:
+    """The `census --stats` object, by walking every member of the shape.
+
+    Each member is built, its edges counted, its t2 computed by rank and its
+    edge count compared with the bound; nothing is taken from a closed form.
+    """
+    shape = GridShape(p, q)
+    edge_hist: Counter[int] = Counter()
+    t2_hist: Counter[int] = Counter()
+    attained = []
+    count = 0
+    for g in census(shape):
+        count += 1
+        edge_hist[g.edge_count] += 1
+        t2_hist[t2_exact(g, shape)] += 1
+        _, hit = edge_bound_check(g, shape)
+        if hit:
+            attained.append(graph6_encode(g))
+    return {
+        "shape": [p, q],
+        "count": count,
+        "edge_bound": shape.edge_bound,
+        "edge_counts": {str(k): edge_hist[k] for k in sorted(edge_hist)},
+        "t2_counts": {str(k): t2_hist[k] for k in sorted(t2_hist)},
+        "bound_attained": attained,
+    }
 
 
 def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:

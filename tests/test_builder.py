@@ -9,7 +9,6 @@ from xorkron import (
     Graph,
     GridShape,
     build_ppt_graph,
-    disjoint_union,
     is_spanning_cross_like,
     new_graph,
     ppt_test,
@@ -98,7 +97,7 @@ def test_verify_components_rejects_mismatches():
 
 
 def test_verify_components_on_disconnected_input():
-    g = disjoint_union([standard_graph("path", 3), standard_graph("complete", 2)])
+    g = new_graph(5, [(0, 1), (1, 2), (3, 4)])  # P3 + K2
     h, _ = build_ppt_graph(g)
     assert verify_components(h, g)
 

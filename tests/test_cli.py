@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,9 @@ from xorkron import (
     standard_graph,
     tensor_product,
 )
-from xorkron.cli import main
+from xorkron.cli import build_parser, main
+
+from .helpers import census_stats_by_enumeration
 
 SRC = Path(xorkron.__file__).resolve().parent.parent
 
@@ -120,6 +124,13 @@ def test_t2_with_oracle(capsys):
     assert json.loads(out)["verdict"] == "non-member"
 
 
+def test_t2_oracle_depth_below_one_is_an_input_error(capsys):
+    for depth in ("0", "-3"):
+        code, out, err = run(capsys, "t2", "--p", "2", "--q", "2", MATCHING_G6, "--oracle", "--max-l", depth)
+        assert code == 2 and out == ""
+        assert err == f"error: oracle search depth must be at least 1, got {depth}\n"
+
+
 def test_ppt_check_and_dump(capsys):
     fixed_path = graph6_encode(new_graph(4, [(0, 2), (0, 3), (1, 2)]))
     code, out, _ = run(capsys, "ppt-check", "--p", "2", fixed_path)
@@ -166,9 +177,44 @@ def test_census_listing_and_stats(capsys):
     assert len(stats["bound_attained"]) == 1
 
 
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5)])
+def test_census_stats_equal_the_enumeration(capsys, p, q):
+    code, out, err = run(capsys, "census", "--p", str(p), "--q", str(q), "--stats")
+    assert code == 0 and err == ""
+    assert out == json.dumps(census_stats_by_enumeration(p, q), indent=2) + "\n"
+
+
+def test_census_stats_past_the_listing_guard(capsys):
+    code, out, _ = run(capsys, "census", "--p", "3", "--q", "4", "--stats")
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["count"] == 262144
+    assert stats["t2_counts"] == {"1": 441, "2": 27343, "3": 234360}
+
+    code, out, _ = run(capsys, "census", "--p", "7", "--q", "8", "--stats")
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["count"] == 2**588
+    assert sum(stats["edge_counts"].values()) == 2**588
+    full = tensor_product(standard_graph("complete", 7), standard_graph("complete", 8))
+    assert stats["bound_attained"] == [graph6_encode(full)]
+
+    code, out, err = run(capsys, "census", "--p", "8", "--q", "8", "--stats")
+    assert code == 2 and out == ""
+    assert "graph6" in err and "n <= 62" in err
+
+
 def test_census_scale_guard(capsys):
     code, _, err = run(capsys, "census", "--p", "4", "--q", "5")
     assert code == 2 and "--force" in err
+
+    # Both refusals come from the shape alone: no cross is listed, no graph built, no binomial summed.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "census", "--p", "60", "--q", "60")
+    assert code == 2 and out == "" and "--force" in err
+    assert time.perf_counter() - t0 < 0.5
+    proc = run_module("census", "--p", "60", "--q", "60", "--stats", timeout=10)
+    assert proc.returncode == 2 and proc.stdout == "" and "graph6" in proc.stderr
 
 
 def test_verify_command(tmp_path, capsys):
@@ -203,6 +249,22 @@ def test_verify_command(tmp_path, capsys):
     cert_path.write_text("{not json")
     code, _, err = run(capsys, "verify", str(cert_path))
     assert code == 2
+
+    # each verdict's certificate must not carry the other verdict's fields
+    _, out, _ = run(capsys, "member", "--p", "2", "--q", "2", "C4")
+    rejection = json.loads(out)
+    for extra in (
+        {"summands": [[0, 1, 0, 1]]},
+        {"summands": [[0, 1, 0, 1]], "labeling": [[0, 0], [0, 1], [1, 0], [1, 1]]},
+        {"summands": [[0, 1, 0, 1]], "empty_decomposition": True},
+    ):
+        cert_path.write_text(json.dumps({**rejection, **extra}))
+        code, out, err = run(capsys, "verify", str(cert_path))
+        assert code == 1 and out == ""
+        assert err == "verify: non-member certificate carries a labeling, summands or empty_decomposition\n"
+    cert_path.write_text(json.dumps({**honest, "witness": {"reason": "odd-edge-count"}}))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 1 and err == "verify: member certificate carries a witness\n"
 
 
 JSON_VALUES = st.recursive(
@@ -278,7 +340,7 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def run_module(*argv: str) -> subprocess.CompletedProcess:
+def run_module(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     """Run `python -m xorkron` in a child with the package's source dir on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -286,6 +348,7 @@ def run_module(*argv: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 
@@ -299,6 +362,14 @@ def test_console_script_help():
     proc = run_module("--help")
     assert proc.returncode == 0
     assert "census" in proc.stdout
+    assert "decompose" in proc.stdout
+
+
+def test_readme_command_table_lists_every_registered_name():
+    readme = (SRC.parent / "README.md").read_text()
+    listed = re.findall(r"^\| `([a-z0-9-]+)[ `]", readme, re.MULTILINE)
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(commands.choices)
 
 
 def test_console_script_entry_point_is_declared():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from xorkron import (
     Graph,
-    disjoint_union,
     format_edge_list,
     graph6_decode,
     graph6_encode,
@@ -63,22 +62,6 @@ def test_standard_graphs():
         standard_graph("complete", 0)
 
 
-def test_disjoint_union():
-    k2 = standard_graph("complete", 2)
-    two = disjoint_union([k2, k2])
-    assert two.n == 4 and two.edge_count == 2
-    assert sorted(two.edges()) == [(0, 1), (2, 3)]
-    mix = disjoint_union([standard_graph("complete", 3), standard_graph("edgeless", 2)])
-    assert mix.n == 5 and mix.edge_count == 3
-    assert disjoint_union([]).n == 0
-
-
-def test_union_edge_count_is_sum():
-    rng = random.Random(11)
-    parts = [random_graph(rng, rng.randrange(1, 6)) for _ in range(5)]
-    assert disjoint_union(parts).edge_count == sum(g.edge_count for g in parts)
-
-
 def test_relabel_roundtrip():
     rng = random.Random(3)
     g = random_graph(rng, 7)
@@ -90,11 +73,6 @@ def test_relabel_roundtrip():
     assert g.relabel(perm).relabel(inverse) == g
     with pytest.raises(ValueError):
         g.relabel([0] * 7)
-
-
-def test_degrees():
-    p4 = standard_graph("path", 4)
-    assert p4.degree(0) == 1 and p4.degree(1) == 2
 
 
 def test_graph6_pinned_strings():

@@ -35,6 +35,7 @@ from xorkron import (
 )
 from xorkron.membership import (
     REASON_MISSING_PARTNER,
+    REASON_ODD_EDGES,
     REASON_SAME_LINE,
     REASON_SEARCH_EXHAUSTED,
     find_violation,
@@ -290,6 +291,26 @@ def test_verify_certificate_catches_tampering():
         True, shape, k, labeling=honest.labeling, summands=honest.summands, empty_decomposition=True
     )
     assert verify_certificate(flag_lies)
+
+    witnessed_member = Certificate(
+        True, shape, k, labeling=honest.labeling, summands=honest.summands, witness=Witness(REASON_ODD_EDGES)
+    )
+    assert verify_certificate(witnessed_member) == ["member certificate carries a witness"]
+
+    c4 = standard_graph("cycle", 4)
+    rejection = is_spanning_cross_like(c4, shape)
+    assert verify_certificate(rejection) == []
+    carried = "non-member certificate carries a labeling, summands or empty_decomposition"
+    for fields in (
+        {"summands": ((0, 1, 0, 1),)},
+        {"summands": ((0, 1, 0, 1),), "labeling": honest.labeling},
+        {"summands": ((0, 1, 0, 1),), "empty_decomposition": True},
+        {"labeling": honest.labeling},
+        {"empty_decomposition": True},
+        {"summands": ()},
+    ):
+        padded = Certificate(False, shape, c4, witness=rejection.witness, **fields)
+        assert verify_certificate(padded) == [carried]
 
 
 CROSS = _complete_product(2, 2)  # edges (0, 3) and (1, 2)

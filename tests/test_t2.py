@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -24,6 +25,7 @@ from xorkron import (
     tensor_product,
     two_sum,
 )
+from xorkron.t2 import t2_census_counts
 
 from .helpers import brute_valid_labelings, random_graph
 
@@ -110,6 +112,20 @@ def test_oracle_pinned_values():
 def test_oracle_scale_guard():
     with pytest.raises(ValueError):
         t2_bruteforce_oracle(standard_graph("edgeless", 24), GridShape(4, 6))
+
+
+def test_oracle_rejects_depth_below_one():
+    for max_l in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            t2_bruteforce_oracle(_complete_product(2, 2), GridShape(2, 2), max_l)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_census_counts_match_the_enumeration(p, q):
+    shape = GridShape(p, q)
+    counts = t2_census_counts(shape)
+    assert counts == Counter(t2_exact(k, shape) for k in census(shape))
+    assert list(counts) == sorted(counts)
 
 
 def test_oracle_agreement_on_small_censuses():

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, new_graph
 
 
 class TensorSummand(NamedTuple):
@@ -35,14 +36,14 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
                 m &= m - 1
                 acc |= hj << (i2 * q)
             rows[i * q + j] = acc
-    return Graph(p * q, rows)
+    return Graph._trusted(p * q, rows)
 
 
 def two_sum(g: Graph, h: Graph) -> Graph:
     """XOR of edge sets on a shared vertex set (symmetric difference)."""
     if g.n != h.n:
         raise ValueError(f"2-sum needs equal vertex counts, got {g.n} and {h.n}")
-    return Graph(g.n, [a ^ b for a, b in zip(g.rows, h.rows)])
+    return Graph._trusted(g.n, [a ^ b for a, b in zip(g.rows, h.rows)])
 
 
 def tensor_elementary(p: int, q: int, i: int, i2: int, j: int, j2: int) -> Graph:
@@ -55,14 +56,7 @@ def tensor_elementary(p: int, q: int, i: int, i2: int, j: int, j2: int) -> Graph
         raise ValueError(f"need 0 <= i < i2 < p, got i={i}, i2={i2}, p={p}")
     if not (0 <= j < j2 < q):
         raise ValueError(f"need 0 <= j < j2 < q, got j={j}, j2={j2}, q={q}")
-    rows = [0] * (p * q)
-    a, b = i * q + j, i2 * q + j2
-    c, d = i * q + j2, i2 * q + j
-    rows[a] |= 1 << b
-    rows[b] |= 1 << a
-    rows[c] |= 1 << d
-    rows[d] |= 1 << c
-    return Graph(p * q, rows)
+    return tensor_product(new_graph(p, [(i, i2)]), new_graph(q, [(j, j2)]))
 
 
 def tensor_2sum(summands: Sequence[TensorSummand]) -> Graph:
@@ -75,7 +69,6 @@ def tensor_2sum(summands: Sequence[TensorSummand]) -> Graph:
         raise ValueError("need at least one summand")
     p = summands[0].left.n
     q = summands[0].right.n
-    rows = [0] * (p * q)
     for k, (g, h) in enumerate(summands):
         if g.n != p or h.n != q:
             raise ValueError(
@@ -83,6 +76,4 @@ def tensor_2sum(summands: Sequence[TensorSummand]) -> Graph:
             )
         if g.edge_count == 0 or h.edge_count == 0:
             raise ValueError(f"summand {k} has an edgeless factor")
-        prod = tensor_product(g, h)
-        rows = [a ^ b for a, b in zip(rows, prod.rows)]
-    return Graph(p * q, rows)
+    return reduce(two_sum, (tensor_product(g, h) for g, h in summands))

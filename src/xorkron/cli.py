@@ -171,7 +171,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     if args.stats:
         # Closed form: the members are the subsets of the nbits crosses, so C(nbits, k) of
         # them have 2k edges, and only K_p x K_q, the XOR of every cross, meets the bound.
-        if shape.order > GRAPH6_MAX_N:  # first: at 60 x 60 the product takes seconds, the binomials forever
+        if shape.order > GRAPH6_MAX_N:  # first: past it graph6 fails and the binomials take forever
             raise ValueError(f"census --stats prints graph6, which handles n <= {GRAPH6_MAX_N}, got {shape.order}")
         full = tensor_product(standard_graph("complete", args.p), standard_graph("complete", args.q))
         out = {
@@ -203,7 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             text = fh.read()
     try:
         cert = Certificate.from_json(text)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"error: unreadable certificate: {exc}", file=sys.stderr)
         return 2
     if _report_problems(cert):
@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,13 @@ STANDARD_KINDS = ("complete", "path", "cycle", "edgeless")
 class Graph:
     """Immutable simple graph on vertices 0..n-1.
 
-    Row u is an int whose bit v is set iff {u, v} is an edge. Construction
-    validates symmetry and a zero diagonal, so equality, XOR and neighborhood
-    tests on any Graph are word-wise integer operations.
+    Row u is an int whose bit v is set iff {u, v} is an edge. Graph(n, rows)
+    validates raw rows: their count, range, symmetry and zero diagonal.
+    Library operations (products, XOR, relabeling) build their results from
+    valid graphs through _trusted without re-checking, since XOR, Kronecker
+    products and relabeling keep a matrix symmetric with a zero diagonal;
+    new_graph and graph6_decode check their own input instead. So equality,
+    XOR and neighborhood tests on any Graph are word-wise integer operations.
     """
 
     __slots__ = ("n", "rows")
@@ -41,6 +45,14 @@ class Graph:
         self.n = n
         self.rows = rows
 
+    @classmethod
+    def _trusted(cls, n: int, rows: Iterable[int]) -> Graph:
+        """Wrap n rows already known to be in range, symmetric and loop-free."""
+        g = object.__new__(cls)
+        g.n = n
+        g.rows = tuple(rows)
+        return g
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.rows[u] >> v) & 1)
 
@@ -65,7 +77,7 @@ class Graph:
             a, b = perm[u], perm[v]
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        return Graph(self.n, rows)
+        return Graph._trusted(self.n, rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -81,6 +93,8 @@ class Graph:
 
 def new_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse."""
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     rows = [0] * n
     for pair in edges:
         u, v = pair
@@ -90,7 +104,7 @@ def new_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
             raise ValueError(f"self-loop pair ({u}, {v}) not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Graph._trusted(n, rows)
 
 
 def standard_graph(kind: str, n: int) -> Graph:
@@ -166,7 +180,7 @@ def graph6_decode(s: str | bytes) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             pos += 1
-    return Graph(n, rows)
+    return Graph._trusted(n, rows)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from .algebra import tensor_product
-from .graphs import Graph
+from .graphs import Graph, new_graph
 from .membership import GridShape, elementary_decomposition
 from .recognition import valid_labelings
 
@@ -127,22 +127,10 @@ def t2_min_over_labelings(k: Graph, shape: GridShape) -> int | None:
     return best
 
 
-def _edge_mask_rows(mask: int, n: int) -> list[int]:
-    """Adjacency rows of the graph on n vertices whose edge set is mask.
-
-    Bit t of mask selects the t-th pair of combinations(range(n), 2).
-    """
-    rows = [0] * n
-    for t, (u, v) in enumerate(combinations(range(n), 2)):
-        if (mask >> t) & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return rows
-
-
 def _packed_product(gm: int, hm: int, p: int, q: int) -> int:
-    g = Graph(p, _edge_mask_rows(gm, p))
-    h = Graph(q, _edge_mask_rows(hm, q))
+    """Packed rows of G (x) H; bit t of gm (hm) makes the t-th pair of combinations an edge of G (H)."""
+    g = new_graph(p, (pair for t, pair in enumerate(combinations(range(p), 2)) if (gm >> t) & 1))
+    h = new_graph(q, (pair for t, pair in enumerate(combinations(range(q), 2)) if (hm >> t) & 1))
     prod = tensor_product(g, h)
     return _pack_rows(prod.rows, prod.n)
 

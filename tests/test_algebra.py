@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def test_product_edge_counts():
     assert tensor_product(k4, k3).edge_count == 36
     g = standard_graph("path", 3)
     assert tensor_product(g, standard_graph("edgeless", 4)).edge_count == 0
+
+
+def test_large_product_is_not_revalidated():
+    # Re-checking the 6.3 M product edges in the validating constructor took about 12 s.
+    k60 = standard_graph("complete", 60)
+    start = time.perf_counter()
+    prod = tensor_product(k60, k60)
+    elapsed = time.perf_counter() - start
+    assert prod.edge_count == 2 * (60 * 59 // 2) ** 2 == 6_265_800
+    assert elapsed < 2.0, f"tensor_product(K60, K60) took {elapsed:.2f} s"
 
 
 def test_product_matches_numpy_kron():

@@ -340,6 +340,33 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_certificate_is_unreadable(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000 + "]" * 100000))
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unreadable certificate: maximum recursion depth exceeded")
+
+
+# Each count is too large for the first list the command makes, so nothing is allocated.
+HUGE = "100000000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (("ppt-check", "--p", "2", "E" + HUGE), ""),
+        (("member", "--p", "2", "--q", "2", "-"), HUGE + "\n0 1\n"),
+        (("elementary", HUGE, "2", "0", "1", "0", "1"), ""),
+    ],
+    ids=["ppt-check", "member", "elementary"],
+)
+def test_vertex_count_too_large_is_an_input_error(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
 def run_module(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     """Run `python -m xorkron` in a child with the package's source dir on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -11,15 +12,24 @@ from hypothesis import strategies as st
 
 from xorkron import (
     Graph,
+    GridShape,
+    TensorSummand,
+    build_ppt_graph,
     format_edge_list,
     graph6_decode,
     graph6_encode,
+    graph_from_quadruples,
     new_graph,
+    pair_quadruples,
     parse_edge_list,
     standard_graph,
+    tensor_2sum,
+    tensor_elementary,
+    tensor_product,
+    two_sum,
 )
 
-from .helpers import dense_rows, random_graph
+from .helpers import dense_rows, random_graph, random_nontrivial
 
 
 def test_new_graph_examples():
@@ -35,6 +45,8 @@ def test_new_graph_rejects_bad_pairs():
         new_graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         new_graph(3, [(1, 1)])
+    with pytest.raises(ValueError):
+        new_graph(-1, [])
 
 
 def test_graph_ctor_validates():
@@ -46,6 +58,40 @@ def test_graph_ctor_validates():
         Graph(2, [0b01, 0b10])  # diagonal set
     with pytest.raises(ValueError):
         Graph(2, [0b100, 0])  # bit out of range
+
+
+def _library_built_graphs(rng: random.Random):
+    """Outputs of every operation that builds its result without re-validation."""
+    for _ in range(25):
+        p, q = rng.randrange(2, 5), rng.randrange(2, 5)
+        prod = tensor_product(random_graph(rng, p), random_graph(rng, q))
+        yield prod
+        yield two_sum(prod, tensor_product(random_graph(rng, p), random_graph(rng, q)))
+        i, i2 = sorted(rng.sample(range(p), 2))
+        j, j2 = sorted(rng.sample(range(q), 2))
+        yield tensor_elementary(p, q, i, i2, j, j2)
+        summands = [TensorSummand(random_nontrivial(rng, p), random_nontrivial(rng, q))
+                    for _ in range(rng.randrange(1, 4))]
+        yield tensor_2sum(summands)
+        n = rng.randrange(0, 9)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield random_graph(rng, n).relabel(perm)
+        pairs = list(combinations(range(n), 2))
+        yield new_graph(n, [rng.choice([(u, v), (v, u)]) for u, v in pairs if rng.random() < 0.4])
+        body = "".join(chr(rng.randrange(63, 127)) for _ in range((len(pairs) + 5) // 6))
+        yield graph6_decode(chr(n + 63) + body)
+        quads = pair_quadruples(GridShape(p, q))
+        yield graph_from_quadruples(GridShape(p, q), rng.sample(quads, rng.randrange(len(quads) + 1)))
+        yield build_ppt_graph(random_graph(rng, rng.randrange(2, 6)))[0]
+
+
+def test_trusted_outputs_pass_the_validating_constructor():
+    for g in _library_built_graphs(random.Random(41)):
+        rebuilt = Graph(g.n, g.rows)
+        assert rebuilt == g
+        assert hash(rebuilt) == hash(g)
+        assert type(g.rows) is tuple
 
 
 def test_standard_graphs():

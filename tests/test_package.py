@@ -71,3 +71,28 @@ def test_every_private_module_name_is_used():
         and not any(name in used for other, used in enumerate(uses) if other != at)
     ]
     assert unused == []
+
+
+def _graph_constructions() -> list[tuple[str, str, str]]:
+    """(module, enclosing function, callee) for each call that makes a Graph instance."""
+    found = []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = ast.unparse(call.func)
+                if callee == "Graph" or callee.startswith("Graph.") or callee.endswith("__new__"):
+                    found.append((path.stem, func.name, callee))
+    return found
+
+
+def test_graphs_are_validated_only_at_the_boundary():
+    # Library operations build from valid graphs, so they skip the checks in Graph(n, rows);
+    # the one validating call left is the edgeless start of graph_from_quadruples.
+    made = _graph_constructions()
+    assert [m for m in made if m[2] == "Graph"] == [("membership", "graph_from_quadruples", "Graph")]
+    assert [m for m in made if m[2].endswith("__new__")] == [("graphs", "_trusted", "object.__new__")]
+    assert {m[2] for m in made} == {"Graph", "Graph._trusted", "object.__new__"}

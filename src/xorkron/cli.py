@@ -302,6 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven checked claims with runtime budgets.
+"""Acceptance gate: twelve checked claims with runtime budgets.
 
 Each test prints one "criterion N: PASS" line containing the measured
 figures (run pytest with -s to see them on success). Budgets are asserted,
@@ -264,3 +264,17 @@ def test_criterion_11_sparse_members_recognized_within_budget():
         f"criterion 11: PASS (3x4 two disjoint crosses worst {worst_3_4 * 1000:.1f}ms, "
         f"4x4 two crosses worst {worst_4_4 * 1000:.1f}ms)"
     )
+
+
+def test_criterion_12_full_3x4_census_within_budget():
+    # each member is one step from the previous one, so the whole listing is cheap
+    shape = GridShape(3, 4)
+    start = time.perf_counter()
+    count = 0
+    for k in census(shape):
+        count += 1
+    elapsed = time.perf_counter() - start
+    assert count == 2**18
+    assert k == tensor_product(standard_graph("complete", 3), standard_graph("complete", 4))
+    assert elapsed < 5.0
+    print(f"criterion 12: PASS ({count} members of the 3x4 census in {elapsed:.2f}s)")

@@ -347,24 +347,30 @@ def test_deeply_nested_certificate_is_unreadable(capsys, monkeypatch):
     assert err.startswith("error: unreadable certificate: maximum recursion depth exceeded")
 
 
-# Each count is too large for the first list the command makes, so nothing is allocated.
+# Each count is too large for the first list the command makes, so nothing is allocated:
+# HUGE does not fit an index, BIG fits one but its list would not fit the address space.
 HUGE = "100000000000000000000"
+BIG = "2000000000000000000"
+NO_INDEX = "error: cannot fit 'int' into an index-sized integer\n"
+NO_MEMORY = "error: not enough memory for this input\n"
 
 
 @pytest.mark.parametrize(
-    "argv, stdin",
+    "argv, stdin, message",
     [
-        (("ppt-check", "--p", "2", "E" + HUGE), ""),
-        (("member", "--p", "2", "--q", "2", "-"), HUGE + "\n0 1\n"),
-        (("elementary", HUGE, "2", "0", "1", "0", "1"), ""),
+        (("ppt-check", "--p", "2", "E" + HUGE), "", NO_INDEX),
+        (("member", "--p", "2", "--q", "2", "-"), HUGE + "\n0 1\n", NO_INDEX),
+        (("elementary", HUGE, "2", "0", "1", "0", "1"), "", NO_INDEX),
+        (("ppt-check", "--p", "2", "E" + BIG), "", NO_MEMORY),
+        (("elementary", BIG, "2", "0", "1", "0", "1"), "", NO_MEMORY),
     ],
-    ids=["ppt-check", "member", "elementary"],
+    ids=["ppt-check", "member", "elementary", "ppt-check-memory", "elementary-memory"],
 )
-def test_vertex_count_too_large_is_an_input_error(capsys, monkeypatch, argv, stdin):
+def test_vertex_count_too_large_is_an_input_error(capsys, monkeypatch, argv, stdin, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: cannot fit 'int' into an index-sized integer\n"
+    assert err == message
 
 
 def run_module(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:

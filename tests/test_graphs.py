@@ -15,6 +15,7 @@ from xorkron import (
     GridShape,
     TensorSummand,
     build_ppt_graph,
+    census,
     format_edge_list,
     graph6_decode,
     graph6_encode,
@@ -84,6 +85,8 @@ def _library_built_graphs(rng: random.Random):
         quads = pair_quadruples(GridShape(p, q))
         yield graph_from_quadruples(GridShape(p, q), rng.sample(quads, rng.randrange(len(quads) + 1)))
         yield build_ppt_graph(random_graph(rng, rng.randrange(2, 6)))[0]
+    yield from census(GridShape(3, 3))
+    yield from census(GridShape(2, 4))
 
 
 def test_trusted_outputs_pass_the_validating_constructor():

@@ -158,6 +158,44 @@ def test_census_sizes():
     assert sum(1 for _ in census(GridShape(2, 3))) == 8
 
 
+def _census_member(shape: GridShape, c: int):
+    """Census member number c by its definition: bit m-1-t of c selects quadruple t."""
+    quads = pair_quadruples(shape)
+    m = len(quads)
+    return graph_from_quadruples(shape, [quads[t] for t in range(m) if c >> (m - 1 - t) & 1])
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)])
+def test_census_equals_its_definition(p, q):
+    shape = GridShape(p, q)
+    m = len(pair_quadruples(shape))
+    assert list(census(shape)) == [_census_member(shape, c) for c in range(2**m)]
+
+
+@pytest.mark.parametrize("p, q", [(2, 6), (3, 4)])
+def test_census_equals_its_definition_at_sampled_indices(p, q):
+    shape = GridShape(p, q)
+    m = len(pair_quadruples(shape))
+    picks = set(random.Random(f"census {p}x{q}").sample(range(2**m), 300))
+    count = 0
+    for c, k in enumerate(census(shape)):
+        if c in picks:
+            assert k == _census_member(shape, c)
+        count += 1
+    assert count == 2**m
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (3, 3)])
+def test_census_members_are_independent_snapshots(p, q):
+    shape = GridShape(p, q)
+    m = len(pair_quadruples(shape))
+    assert len(set(census(shape))) == 2**m
+    members = census(shape)
+    early = [next(members) for _ in range(6)]
+    assert sum(1 for _ in members) == 2**m - 6
+    assert early == [_census_member(shape, c) for c in range(6)]
+
+
 def test_census_at_2_2_is_exactly_the_member_set():
     member_set = set(census(GridShape(2, 2)))
     assert len(member_set) == 2

@@ -20,11 +20,13 @@ from .membership import (
     edge_bound_check,
     elementary_decomposition,
     graph_from_quadruples,
+    has_independent_row_partition,
     is_spanning_cross_like,
     pair_quadruples,
+    valid_labelings,
     verify_certificate,
 )
-from .recognition import has_independent_row_partition, prefilter, recognize, valid_labelings
+from .recognition import prefilter, recognize
 from .t2 import gf2_rank, pair_matrix, t2_bruteforce_oracle, t2_exact, t2_min_over_labelings
 from .transpose import format_matrix_text, parse_matrix_text, partial_transpose, ppt_test
 

@@ -308,4 +308,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    """Run as a program: a reader that closes the pipe ends it quietly, like any Unix filter."""
+    import signal  # here, not at the top: main() callers neither pay for it nor get their signals changed
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -14,8 +14,7 @@ from math import comb
 
 from .algebra import tensor_product
 from .graphs import Graph, new_graph
-from .membership import GridShape, elementary_decomposition
-from .recognition import valid_labelings
+from .membership import GridShape, elementary_decomposition, valid_labelings
 
 
 def pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:

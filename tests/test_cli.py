@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -266,6 +267,12 @@ def test_verify_command(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(cert_path))
     assert code == 1 and err == "verify: member certificate carries a witness\n"
 
+    # only the two edge reasons name an edge
+    witness = {"reason": "edge-bound-exceeded", "edge": [0, 1]}
+    cert_path.write_text(json.dumps({"verdict": "non-member", "shape": [2, 2], "graph6": "C~", "witness": witness}))
+    code, out, err = run(capsys, "verify", str(cert_path))
+    assert code == 1 and out == "" and err == "verify: edge-bound-exceeded witness carries an edge\n"
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 70) | st.floats(allow_nan=False) | st.text(max_size=3),
@@ -373,14 +380,19 @@ def test_vertex_count_too_large_is_an_input_error(capsys, monkeypatch, argv, std
     assert err == message
 
 
-def run_module(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
-    """Run `python -m xorkron` in a child with the package's source dir on PYTHONPATH."""
+def child_env() -> dict[str, str]:
+    """The environment with the package's source dir on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run `python -m xorkron` in a child."""
     return subprocess.run(
         [sys.executable, "-m", "xorkron", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
         timeout=timeout,
     )
 
@@ -389,6 +401,24 @@ def test_console_script_runs():
     proc = run_module("member", "--p", "2", "--q", "2", MATCHING_G6)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "member"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_pipe_ends_the_command_quietly():
+    # Like `xorkron census ... | head -1`: the reader takes one line and closes its end.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "xorkron", "census", "--p", "3", "--q", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    first = child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == -signal.SIGPIPE
+    assert err == "" and graph6_decode(first.strip()) == standard_graph("edgeless", 12)
 
 
 def test_console_script_help():

@@ -34,7 +34,9 @@ from xorkron import (
     verify_certificate,
 )
 from xorkron.membership import (
+    REASON_EDGE_BOUND,
     REASON_MISSING_PARTNER,
+    REASON_NO_PARTITION,
     REASON_ODD_EDGES,
     REASON_SAME_LINE,
     REASON_SEARCH_EXHAUSTED,
@@ -300,7 +302,7 @@ def test_verify_certificate_catches_tampering():
     honest = is_spanning_cross_like(k, shape)
 
     no_summands = Certificate(True, shape, k, labeling=honest.labeling, summands=None)
-    assert verify_certificate(no_summands)
+    assert verify_certificate(no_summands) == ["member certificate is missing its summand list"]
 
     wrong_summands = Certificate(True, shape, k, labeling=honest.labeling, summands=())
     assert verify_certificate(wrong_summands) == [
@@ -317,10 +319,9 @@ def test_verify_certificate_catches_tampering():
     # this relabeling parks an edge inside a column
     twisted = GridLabeling(shape, ((0, 0), (0, 1), (1, 1), (1, 0)))
     wrong_labeling = Certificate(True, shape, k, labeling=twisted, summands=honest.summands)
-    assert verify_certificate(wrong_labeling)
-
-    fake_reject = Certificate(False, shape, k, witness=Witness(REASON_SEARCH_EXHAUSTED))
-    assert verify_certificate(fake_reject)
+    assert verify_certificate(wrong_labeling) == [
+        "labeling does not make the graph cross-like: same-row-or-column-edge at edge (0, 2)"
+    ]
 
     fake_edge = Certificate(False, shape, k, witness=Witness(REASON_SAME_LINE, (0, 3)))
     assert verify_certificate(fake_edge) == ["witness edge (0, 3) joins distinct rows and columns"]
@@ -328,7 +329,7 @@ def test_verify_certificate_catches_tampering():
     flag_lies = Certificate(
         True, shape, k, labeling=honest.labeling, summands=honest.summands, empty_decomposition=True
     )
-    assert verify_certificate(flag_lies)
+    assert verify_certificate(flag_lies) == ["empty_decomposition flag disagrees with the edge count"]
 
     witnessed_member = Certificate(
         True, shape, k, labeling=honest.labeling, summands=honest.summands, witness=Witness(REASON_ODD_EDGES)
@@ -354,6 +355,7 @@ def test_verify_certificate_catches_tampering():
 CROSS = _complete_product(2, 2)  # edges (0, 3) and (1, 2)
 ROWS = new_graph(4, [(0, 1), (2, 3)])  # one edge inside each row of the 2 x 2 grid
 ONE_DIAGONAL = new_graph(4, [(0, 3)])  # a cross edge without its partner (1, 2)
+K4 = standard_graph("complete", 4)  # too many edges for 2 x 2, no independent row pairs, no labeling
 
 
 @pytest.mark.parametrize(
@@ -369,8 +371,60 @@ ONE_DIAGONAL = new_graph(4, [(0, 3)])  # a cross edge without its partner (1, 2)
         (ROWS, REASON_MISSING_PARTNER, (0, 4), ["witness edge (0, 4) is not an edge of the graph"]),
         (ROWS, REASON_SAME_LINE, None, ["same-row-or-column-edge witness needs an edge"]),
         (ONE_DIAGONAL, REASON_MISSING_PARTNER, None, ["missing-cross-partner witness needs an edge"]),
+        # each claim below holds for k, so the edge is the one problem
+        (ONE_DIAGONAL, REASON_ODD_EDGES, (0, 3), ["odd-edge-count witness carries an edge"]),
+        (K4, REASON_EDGE_BOUND, (0, 3), ["edge-bound-exceeded witness carries an edge"]),
+        (K4, REASON_NO_PARTITION, (0, 3), ["no-independent-row-partition witness carries an edge"]),
+        (K4, REASON_SEARCH_EXHAUSTED, (0, 3), ["search-exhausted witness carries an edge"]),
     ],
 )
 def test_verify_certificate_edge_witness_problems(k, reason, edge, problems):
     cert = Certificate(False, GridShape(2, 2), k, witness=Witness(reason, edge))
     assert verify_certificate(cert) == problems
+
+
+HONEST_23 = is_spanning_cross_like(_complete_product(2, 3), GridShape(2, 3))
+
+
+@pytest.mark.parametrize(
+    "cert, problem",
+    [
+        (
+            Certificate(True, GridShape(2, 2), new_graph(5, []), labeling=GridLabeling.identity(GridShape(2, 2))),
+            "graph has 5 vertices but shape (2, 2) needs 4",
+        ),
+        (
+            Certificate(True, GridShape(2, 3), HONEST_23.graph, summands=HONEST_23.summands),
+            "member certificate is missing its labeling",
+        ),
+        (
+            Certificate(
+                True,
+                GridShape(2, 3),
+                HONEST_23.graph,
+                labeling=GridLabeling.identity(GridShape(3, 2)),
+                summands=HONEST_23.summands,
+            ),
+            "labeling shape disagrees with certificate shape",
+        ),
+        (Certificate(False, GridShape(2, 2), ROWS), "non-member certificate is missing its witness"),
+        (
+            Certificate(False, GridShape(2, 2), CROSS, witness=Witness(REASON_ODD_EDGES)),
+            "odd-edge-count witness but the edge count is even",
+        ),
+        (
+            Certificate(False, GridShape(2, 2), CROSS, witness=Witness(REASON_EDGE_BOUND)),
+            "edge-bound witness but the bound is not exceeded",
+        ),
+        (
+            Certificate(False, GridShape(2, 2), CROSS, witness=Witness(REASON_NO_PARTITION)),
+            "no-partition witness but an independent row partition exists",
+        ),
+        (
+            Certificate(False, GridShape(2, 2), CROSS, witness=Witness(REASON_SEARCH_EXHAUSTED)),
+            "search-exhausted witness but a full search finds a valid labeling",
+        ),
+    ],
+)
+def test_verify_certificate_names_each_false_claim(cert, problem):
+    assert verify_certificate(cert) == [problem]

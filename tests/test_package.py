@@ -1,9 +1,10 @@
-"""Package surface: the exported names exist, no private helper is left unused, and the
-runtime needs only the standard library."""
+"""Package surface: the exported names exist, no private helper is left unused, the
+runtime needs only the standard library, and the modules import one way."""
 
 from __future__ import annotations
 
 import ast
+import graphlib
 import subprocess
 import sys
 from pathlib import Path
@@ -96,3 +97,21 @@ def test_graphs_are_validated_only_at_the_boundary():
     assert [m for m in made if m[2] == "Graph"] == [("membership", "graph_from_quadruples", "Graph")]
     assert [m for m in made if m[2].endswith("__new__")] == [("graphs", "_trusted", "object.__new__")]
     assert {m[2] for m in made} == {"Graph", "Graph._trusted", "object.__new__"}
+
+
+def test_package_imports_are_top_level_and_acyclic():
+    # Relative imports sit in module bodies, where they run on import, and the modules form layers.
+    edges: dict[str, set[str]] = {}
+    nested = []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        name = path.stem
+        edges[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges[name].add(node.module)
+                if id(node) not in top:
+                    nested.append((name, node.lineno, node.module))
+    assert nested == []
+    list(graphlib.TopologicalSorter(edges).static_order())  # raises CycleError naming a cycle

@@ -8,16 +8,21 @@ import numpy as np
 import pytest
 
 from xorkron import (
+    GridShape,
     TensorSummand,
     format_matrix_text,
+    graph_from_quadruples,
     new_graph,
+    pair_quadruples,
     parse_matrix_text,
     partial_transpose,
     ppt_test,
     standard_graph,
     tensor_2sum,
     tensor_product,
+    two_sum,
 )
+from xorkron.membership import REASON_SAME_LINE, find_violation
 
 from .helpers import random_nontrivial
 
@@ -87,6 +92,54 @@ def test_every_composed_member_is_a_fixed_point():
             for _ in range(rng.randrange(1, 5))
         ]
         assert ppt_test(tensor_2sum(summands), p)
+
+
+def _partners_present(k, p: int) -> bool:
+    """Every edge joining distinct rows and columns of the p x (n/p) grid has its partner diagonal."""
+    q = k.n // p
+    for u, v in k.edges():
+        i, j, i2, j2 = u // q, u % q, v // q, v % q
+        if i != i2 and j != j2 and not k.has_edge(i * q + j2, i2 * q + j):
+            return False
+    return True
+
+
+def _check_fixed_point(k, p: int, fixed: bool) -> None:
+    """ppt_test(k, p) == fixed, and ppt_test is the partner half of the cross condition find_violation checks."""
+    assert ppt_test(k, p) == _partners_present(k, p) == fixed
+    w = find_violation(k, GridShape(p, k.n // p))
+    if fixed:  # a fixed point fails membership only through a same-line edge
+        assert w is None or w.reason == REASON_SAME_LINE
+    else:  # and every member is a fixed point
+        assert w is not None
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (6, 2), (6, 3)])
+def test_fixed_points_are_exactly_the_graphs_with_every_cross_partner(n, p):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    fixed_count = 0
+    for mask in range(1 << len(pairs)):
+        k = new_graph(n, [pair for t, pair in enumerate(pairs) if (mask >> t) & 1])
+        fixed = ppt_test(k, p)
+        _check_fixed_point(k, p, fixed)
+        fixed_count += fixed
+    assert 0 < fixed_count < 1 << len(pairs)
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (4, 4)])
+def test_members_stay_fixed_under_line_edges_and_leave_under_a_cross_edge(p, q):
+    rng = random.Random(f"ppt:{p}x{q}")
+    n = p * q
+    quads = pair_quadruples(GridShape(p, q))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    in_line = [(u, v) for u, v in pairs if u // q == v // q or u % q == v % q]
+    across = [(u, v) for u, v in pairs if u // q != v // q and u % q != v % q]
+    for _ in range(40):
+        member = graph_from_quadruples(GridShape(p, q), rng.sample(quads, rng.randrange(len(quads) + 1)))
+        lined = two_sum(member, new_graph(n, rng.sample(in_line, rng.randrange(1, 4))))
+        _check_fixed_point(lined, p, True)
+        assert find_violation(lined, GridShape(p, q)).reason == REASON_SAME_LINE
+        _check_fixed_point(two_sum(member, new_graph(n, [rng.choice(across)])), p, False)
 
 
 def test_ppt_test_rejects_bad_block_size():

@@ -49,15 +49,20 @@ GRAPH_TOKEN_HELP = (
 
 
 def read_graph(token: str) -> Graph:
-    if token == "-":
-        return _parse_graph_text(sys.stdin.read())
-    if os.path.exists(token):
-        with open(token, encoding="ascii") as fh:
-            return _parse_graph_text(fh.read())
+    if token == "-" or os.path.exists(token):
+        return _parse_graph_text(_read_text(token))
     m = re.fullmatch(r"([KPCE])(\d+)", token)
     if m:
         return standard_graph(_STANDARD_KINDS[m.group(1)], int(m.group(2)))
     return graph6_decode(token)
+
+
+def _read_text(token: str) -> str:
+    """Stdin for '-', else the named file, read as ASCII."""
+    if token == "-":
+        return sys.stdin.read()
+    with open(token, encoding="ascii") as fh:
+        return fh.read()
 
 
 def _parse_graph_text(text: str) -> Graph:
@@ -82,18 +87,14 @@ def _report_problems(cert: Certificate) -> bool:
     return bool(problems)
 
 
-def _verify_or_code(cert: Certificate, wanted: bool, fallback: int) -> int:
-    """Exit code for a certificate command, honoring a --verify request."""
-    return 2 if wanted and _report_problems(cert) else fallback
+def _print_certificate(cert: Certificate, verify: bool) -> int:
+    """Print cert as JSON; exit 0 for a member and 1 otherwise, or 2 when --verify finds a problem."""
+    print(cert.to_json())
+    return 2 if verify and _report_problems(cert) else 0 if cert.verdict else 1
 
 
-def cmd_product(args: argparse.Namespace) -> int:
-    _emit_graph(tensor_product(read_graph(args.left), read_graph(args.right)), args.edges)
-    return 0
-
-
-def cmd_xor(args: argparse.Namespace) -> int:
-    _emit_graph(two_sum(read_graph(args.left), read_graph(args.right)), args.edges)
+def cmd_binary(args: argparse.Namespace) -> int:
+    _emit_graph(args.op(read_graph(args.left), read_graph(args.right)), args.edges)
     return 0
 
 
@@ -105,8 +106,7 @@ def cmd_elementary(args: argparse.Namespace) -> int:
 
 def cmd_member(args: argparse.Namespace) -> int:
     cert = is_spanning_cross_like(read_graph(args.graph), GridShape(args.p, args.q))
-    print(cert.to_json())
-    return _verify_or_code(cert, args.verify, 0 if cert.verdict else 1)
+    return _print_certificate(cert, args.verify)
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
@@ -118,8 +118,7 @@ def cmd_recognize(args: argparse.Namespace) -> int:
         )
         return 2
     cert = recognize(read_graph(args.graph), shape, use_prefilter=not args.no_prefilter)
-    print(cert.to_json())
-    return _verify_or_code(cert, args.verify, 0 if cert.verdict else 1)
+    return _print_certificate(cert, args.verify)
 
 
 def cmd_t2(args: argparse.Namespace) -> int:
@@ -127,8 +126,7 @@ def cmd_t2(args: argparse.Namespace) -> int:
     shape = GridShape(args.p, args.q)
     cert = is_spanning_cross_like(k, shape)
     if not cert.verdict:
-        print(cert.to_json())
-        return 1
+        return _print_certificate(cert, False)
     out: dict = {"t2": t2_exact(k, shape)}
     if args.oracle:
         out["oracle"] = t2_bruteforce_oracle(k, shape, args.max_l)
@@ -162,7 +160,7 @@ def cmd_build_ppt(args: argparse.Namespace) -> int:
     print(f"components: input graph + {m} K2 + {n * n - n - 2 * m} K1 [{note}]", file=sys.stderr)
     if not cert.verdict or not matched:
         return 2
-    return _verify_or_code(cert, args.verify, 0)
+    return 2 if args.verify and _report_problems(cert) else 0
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -196,11 +194,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.certificate == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.certificate, encoding="ascii") as fh:
-            text = fh.read()
+    text = _read_text(args.certificate)
     try:
         cert = Certificate.from_json(text)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
@@ -234,15 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True, help="grid row count (left factor size)")
         sp.add_argument("--q", type=int, required=True, help="grid column count (right factor size)")
 
-    sp = add("product", cmd_product, "tensor product of two graphs")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--edges", action="store_true", help="emit an edge list instead of graph6")
-
-    sp = add("xor", cmd_xor, "XOR of two edge sets on the same vertex count")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--edges", action="store_true", help="emit an edge list instead of graph6")
+    for name, op, help_text in (
+        ("product", tensor_product, "tensor product of two graphs"),
+        ("xor", two_sum, "XOR of two edge sets on the same vertex count"),
+    ):
+        sp = add(name, cmd_binary, help_text)
+        sp.set_defaults(op=op)
+        sp.add_argument("left")
+        sp.add_argument("right")
+        sp.add_argument("--edges", action="store_true", help="emit an edge list instead of graph6")
 
     sp = add("elementary", cmd_elementary, "two-edge cross graph on a p x q grid")
     for name in ("p", "q", "i", "i2", "j", "j2"):

@@ -149,10 +149,8 @@ def graph6_encode(g: Graph) -> str:
     return "".join(out)
 
 
-def graph6_decode(s: str | bytes) -> Graph:
+def graph6_decode(s: str) -> Graph:
     """Decode a graph6 short-form string; optional '>>graph6<<' header allowed."""
-    if isinstance(s, bytes):
-        s = s.decode("ascii")
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):].strip()

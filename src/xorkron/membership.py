@@ -591,7 +591,8 @@ def verify_certificate(cert: Certificate) -> list[str]:
             problems.append("labeling shape disagrees with certificate shape")
             return problems
         relabeled = k.relabel(cert.labeling.permutation())
-        w = find_violation(relabeled, shape)
+        redo = is_spanning_cross_like(relabeled, shape)
+        w = redo.witness
         if w is not None:
             problems.append(
                 f"labeling does not make the graph cross-like: {w.reason} at edge {w.edge}"
@@ -600,13 +601,13 @@ def verify_certificate(cert: Certificate) -> list[str]:
         if cert.summands is None:
             problems.append("member certificate is missing its summand list")
         else:
-            if tuple(cert.summands) != _quads(relabeled, shape.q):
+            if tuple(cert.summands) != redo.summands:
                 problems.append("summand list does not match the relabeled graph")
             outside = [pb for pb in (_summand_problem(s, shape) for s in cert.summands) if pb]
             problems.extend(outside)
             if not outside and graph_from_quadruples(shape, cert.summands) != relabeled:
                 problems.append("summands do not XOR back to the relabeled graph")
-        if cert.empty_decomposition != (k.edge_count == 0):
+        if cert.empty_decomposition != redo.empty_decomposition:
             problems.append("empty_decomposition flag disagrees with the edge count")
     else:
         if cert.labeling is not None or cert.summands is not None or cert.empty_decomposition:

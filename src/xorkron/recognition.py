@@ -2,10 +2,13 @@
 
 recognize first runs the labeling-independent prefilter, then takes the least
 valid labeling from membership.valid_labelings, the search that also checks
-non-member certificates, and decomposes the graph it relabels.
+non-member certificates, and certifies the graph it relabels with
+membership.is_spanning_cross_like.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from .graphs import Graph
 from .membership import (
@@ -16,8 +19,8 @@ from .membership import (
     Certificate,
     GridShape,
     Witness,
-    elementary_decomposition,
     has_independent_row_partition,
+    is_spanning_cross_like,
     valid_labelings,
 )
 
@@ -62,12 +65,4 @@ def recognize(k: Graph, shape: GridShape, *, use_prefilter: bool = True) -> Cert
     if labeling is None:
         return Certificate(False, shape, k, witness=Witness(REASON_SEARCH_EXHAUSTED))
     relabeled = k.relabel(labeling.permutation())
-    quads = elementary_decomposition(relabeled, shape)
-    return Certificate(
-        True,
-        shape,
-        k,
-        labeling=labeling,
-        summands=quads,
-        empty_decomposition=not quads,
-    )
+    return replace(is_spanning_cross_like(relabeled, shape), graph=k, labeling=labeling)

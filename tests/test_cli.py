@@ -90,6 +90,17 @@ def test_member_verify_flag(capsys):
     assert code == 0 and json.loads(out)["verdict"] == "member"
 
 
+def test_edgeless_member_certificate(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    for cmd in ("member", "recognize"):
+        code, out, err = run(capsys, cmd, "--p", "2", "--q", "2", "E4", "--verify")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["summands"] == [] and data["empty_decomposition"] is True
+        path.write_text(out)
+        assert run(capsys, "verify", str(path)) == (0, "certificate ok\n", "")
+
+
 def test_recognize_verdicts(capsys):
     code, out, _ = run(capsys, "recognize", "--p", "2", "--q", "2", "C4", "--no-prefilter")
     assert code == 1
@@ -123,6 +134,11 @@ def test_t2_with_oracle(capsys):
     code, out, _ = run(capsys, "t2", "--p", "2", "--q", "2", "P4")
     assert code == 1
     assert json.loads(out)["verdict"] == "non-member"
+
+    # the edgeless member needs two summands, one more than --max-l 1 lets the oracle try
+    code, out, err = run(capsys, "t2", "--p", "2", "--q", "2", "E4", "--oracle", "--max-l", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"t2": 2, "oracle": None}
 
 
 def test_t2_oracle_depth_below_one_is_an_input_error(capsys):
@@ -433,6 +449,22 @@ def test_readme_command_table_lists_every_registered_name():
     listed = re.findall(r"^\| `([a-z0-9-]+)[ `]", readme, re.MULTILINE)
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(listed) == sorted(commands.choices)
+
+
+def test_readme_mentions_every_registered_option():
+    readme = (SRC.parent / "README.md").read_text()
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for sp in commands.choices.values()
+        for action in sp._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert options  # the parser registers options at all
+    missing = sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme))
+    assert missing == []
 
 
 def test_console_script_entry_point_is_declared():

@@ -59,6 +59,8 @@ def test_graph_ctor_validates():
         Graph(2, [0b01, 0b10])  # diagonal set
     with pytest.raises(ValueError):
         Graph(2, [0b100, 0])  # bit out of range
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1, [])
 
 
 def _library_built_graphs(rng: random.Random):
@@ -130,6 +132,9 @@ def test_graph6_pinned_strings():
     assert graph6_encode(standard_graph("edgeless", 1)) == "@"
     assert graph6_decode("A_") == standard_graph("complete", 2)
     assert graph6_decode(">>graph6<<C~") == standard_graph("complete", 4)
+    assert graph6_decode(graph6_encode(standard_graph("path", 62))) == standard_graph("path", 62)
+    with pytest.raises(ValueError, match="short form handles n <= 62, got 63"):
+        graph6_encode(standard_graph("path", 63))
 
 
 def test_graph6_matches_networkx_reference():

@@ -286,6 +286,9 @@ def test_certificate_from_dict_rejects_mistyped_witness_edge(edge):
 def test_empty_decomposition_flag():
     cert = is_spanning_cross_like(standard_graph("edgeless", 4), GridShape(2, 2))
     assert cert.verdict and cert.summands == () and cert.empty_decomposition
+    data = json.loads(cert.to_json())
+    assert data["summands"] == [] and data["empty_decomposition"] is True
+    assert Certificate.from_json(cert.to_json()) == cert
 
 
 def test_verify_certificate_accepts_honest_certs():

@@ -99,6 +99,22 @@ def test_graphs_are_validated_only_at_the_boundary():
     assert {m[2] for m in made} == {"Graph", "Graph._trusted", "object.__new__"}
 
 
+def test_member_certificates_are_built_only_by_the_labeled_decision():
+    # recognize and verify_certificate restate is_spanning_cross_like instead of rebuilding its fields.
+    built = []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "Certificate"):
+                    continue
+                verdict = [kw.value for kw in call.keywords if kw.arg == "verdict"] + call.args[:1]
+                if any(isinstance(v, ast.Constant) and v.value is True for v in verdict):
+                    built.append((path.stem, func.name))
+    assert built == [("membership", "is_spanning_cross_like")]
+
+
 def test_package_imports_are_top_level_and_acyclic():
     # Relative imports sit in module bodies, where they run on import, and the modules form layers.
     edges: dict[str, set[str]] = {}

@@ -96,6 +96,10 @@ def test_row_partition_matches_brute_force():
 def test_recognize_raises_on_wrong_count():
     with pytest.raises(ValueError):
         recognize(standard_graph("path", 3), GridShape(2, 2))
+    # the search reports the count its own way: no partition, and no labeling generator
+    assert not has_independent_row_partition(standard_graph("edgeless", 5), GridShape(2, 2))
+    with pytest.raises(ValueError, match="graph has 5 vertices, labelings need 4"):
+        next(valid_labelings(standard_graph("edgeless", 5), GridShape(2, 2)))
 
 
 def test_recognize_permuted_products():

@@ -106,12 +106,15 @@ def test_oracle_pinned_values():
     shape = GridShape(2, 2)
     assert t2_bruteforce_oracle(_complete_product(2, 2), shape) == 1
     assert t2_bruteforce_oracle(standard_graph("edgeless", 4), shape) == 2
+    assert t2_bruteforce_oracle(standard_graph("edgeless", 4), shape, 1) is None  # past the depth
     assert t2_bruteforce_oracle(_chain(GridShape(3, 3)), GridShape(3, 3)) == 2
 
 
 def test_oracle_scale_guard():
     with pytest.raises(ValueError):
         t2_bruteforce_oracle(standard_graph("edgeless", 24), GridShape(4, 6))
+    with pytest.raises(ValueError, match="graph has 5 vertices, shape \\(2, 2\\) needs 4"):
+        t2_bruteforce_oracle(standard_graph("edgeless", 5), GridShape(2, 2))
 
 
 def test_oracle_rejects_depth_below_one():

@@ -122,6 +122,8 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_t2(args: argparse.Namespace) -> int:
+    if args.max_l < 1:  # checked whether or not --oracle is given, so a bad value never passes silently
+        raise ValueError(f"oracle search depth must be at least 1, got {args.max_l}")
     k = read_graph(args.graph)
     shape = GridShape(args.p, args.q)
     cert = is_spanning_cross_like(k, shape)
@@ -188,8 +190,7 @@ def cmd_census(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    for g in census(shape):
-        print(graph6_encode(g))
+    sys.stdout.writelines(graph6_encode(g) + "\n" for g in census(shape))
     return 0
 
 

@@ -8,6 +8,14 @@ GRAPH6_MAX_N = 62
 
 STANDARD_KINDS = ("complete", "path", "cycle", "edgeless")
 
+# The graph6 bit field lists the upper triangle column by column (bit (i, j) for
+# i < j at j(j-1)/2 + i) and packs it six bits to a character, first bit highest.
+# The codec holds it as one int with field bit k at int bit k, so column j is the
+# low j bits of row j, and a character is a 6-bit group read in reverse, plus 63.
+_G6_CHARS = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
+_G6_BITS = {v + 63: f"{v:06b}" for v in range(64)}  # character -> its six field bits, in field order
+_G6_DROP_PRINTABLE = str.maketrans("", "", "".join(map(chr, range(63, 127))))
+
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1.
@@ -131,22 +139,16 @@ def standard_graph(kind: str, n: int) -> Graph:
 
 def graph6_encode(g: Graph) -> str:
     """Encode in graph6 short form (n <= 62)."""
-    if g.n > GRAPH6_MAX_N:
-        raise ValueError(f"graph6 short form handles n <= {GRAPH6_MAX_N}, got {g.n}")
-    out = [chr(g.n + 63)]
-    acc = 0
-    filled = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = (acc << 1) | ((g.rows[i] >> j) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                filled = 0
-    if filled:
-        out.append(chr((acc << (6 - filled)) + 63))
-    return "".join(out)
+    n = g.n
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 short form handles n <= {GRAPH6_MAX_N}, got {n}")
+    rows = g.rows
+    bits = 0
+    off = 0
+    for j in range(1, n):
+        bits |= (rows[j] & ((1 << j) - 1)) << off
+        off += j
+    return chr(n + 63) + "".join([_G6_CHARS[(bits >> s) & 63] for s in range(0, off, 6)])
 
 
 def graph6_decode(s: str) -> Graph:
@@ -156,9 +158,9 @@ def graph6_decode(s: str) -> Graph:
         s = s[len(">>graph6<<"):].strip()
     if not s:
         raise ValueError("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise ValueError(f"graph6 character {ch!r} outside printable range 63..126")
+    bad = s.translate(_G6_DROP_PRINTABLE)
+    if bad:
+        raise ValueError(f"graph6 character {bad[0]!r} outside printable range 63..126")
     if ord(s[0]) == 126:
         raise ValueError("long-form graph6 (n >= 63) is not supported")
     n = ord(s[0]) - 63
@@ -169,15 +171,17 @@ def graph6_decode(s: str) -> Graph:
         raise ValueError(f"truncated graph6 bit field: need {need} characters, got {len(body)}")
     if len(body) > need:
         raise ValueError(f"trailing data after graph6 bit field ({len(body) - need} extra characters)")
+    bits = int("0" + body.translate(_G6_BITS)[::-1], 2)
     rows = [0] * n
-    pos = 0
+    off = 0
     for j in range(1, n):
-        for i in range(j):
-            chunk = ord(body[pos // 6]) - 63
-            if (chunk >> (5 - pos % 6)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+        col = (bits >> off) & ((1 << j) - 1)
+        off += j
+        rows[j] = col
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
     return Graph._trusted(n, rows)
 
 

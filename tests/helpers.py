@@ -8,6 +8,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from xorkron import Graph, GridShape, census, edge_bound_check, graph6_encode, new_graph, t2_exact
+from xorkron.graphs import GRAPH6_MAX_N
 
 
 def naive_cross_like(k: Graph, p: int, q: int) -> bool:
@@ -196,3 +197,55 @@ def random_nontrivial(rng: random.Random, n: int, density: float = 0.5) -> Graph
 
 def dense_rows(g: Graph) -> list[list[int]]:
     return [[(row >> c) & 1 for c in range(g.n)] for row in g.rows]
+
+
+def reference_graph6_encode(g: Graph) -> str:
+    """graph6 short form, one bit of the upper triangle per step: the codec's reference."""
+    if g.n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 short form handles n <= {GRAPH6_MAX_N}, got {g.n}")
+    out = [chr(g.n + 63)]
+    acc = 0
+    filled = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = (acc << 1) | ((g.rows[i] >> j) & 1)
+            filled += 1
+            if filled == 6:
+                out.append(chr(acc + 63))
+                acc = 0
+                filled = 0
+    if filled:
+        out.append(chr((acc << (6 - filled)) + 63))
+    return "".join(out)
+
+
+def reference_graph6_decode(s: str) -> Graph:
+    """Inverse of reference_graph6_encode, one bit per step; padding bits are ignored."""
+    s = s.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):].strip()
+    if not s:
+        raise ValueError("empty graph6 string")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"graph6 character {ch!r} outside printable range 63..126")
+    if ord(s[0]) == 126:
+        raise ValueError("long-form graph6 (n >= 63) is not supported")
+    n = ord(s[0]) - 63
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    body = s[1:]
+    if len(body) < need:
+        raise ValueError(f"truncated graph6 bit field: need {need} characters, got {len(body)}")
+    if len(body) > need:
+        raise ValueError(f"trailing data after graph6 bit field ({len(body) - need} extra characters)")
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            chunk = ord(body[pos // 6]) - 63
+            if (chunk >> (5 - pos % 6)) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    return Graph(n, rows)

@@ -7,6 +7,7 @@ not just observed.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -38,6 +39,7 @@ from xorkron import (
     verify_certificate,
     verify_components,
 )
+from xorkron.cli import main
 from xorkron.membership import REASON_ODD_EDGES, REASON_SEARCH_EXHAUSTED
 
 from .helpers import brute_valid_labelings, random_graph, random_nontrivial
@@ -266,7 +268,7 @@ def test_criterion_11_sparse_members_recognized_within_budget():
     )
 
 
-def test_criterion_12_full_3x4_census_within_budget():
+def test_criterion_12_full_3x4_census_within_budget(capsys):
     # each member is one step from the previous one, so the whole listing is cheap
     shape = GridShape(3, 4)
     start = time.perf_counter()
@@ -277,4 +279,8 @@ def test_criterion_12_full_3x4_census_within_budget():
     assert count == 2**18
     assert k == tensor_product(standard_graph("complete", 3), standard_graph("complete", 4))
     assert elapsed < 5.0
-    print(f"criterion 12: PASS ({count} members of the 3x4 census in {elapsed:.2f}s)")
+    # the listing `xorkron census` prints, byte for byte as the per-bit graph6 codec wrote it
+    assert main(["census", "--p", "3", "--q", "4"]) == 0
+    listing = capsys.readouterr().out.encode("ascii")
+    assert hashlib.sha256(listing).hexdigest() == "add7dbb41009d57119284e7908cc6f95ffe1126ddc9d749eb7f210fa19eb7421"
+    print(f"criterion 12: PASS ({count} members of the 3x4 census in {elapsed:.2f}s, listing pinned)")

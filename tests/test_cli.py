@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -142,10 +143,13 @@ def test_t2_with_oracle(capsys):
 
 
 def test_t2_oracle_depth_below_one_is_an_input_error(capsys):
-    for depth in ("0", "-3"):
-        code, out, err = run(capsys, "t2", "--p", "2", "--q", "2", MATCHING_G6, "--oracle", "--max-l", depth)
-        assert code == 2 and out == ""
-        assert err == f"error: oracle search depth must be at least 1, got {depth}\n"
+    # the depth is checked on its own: an ignored bad value would hide a typo
+    for oracle in (("--oracle",), ()):
+        for graph in (MATCHING_G6, "E4", "P4"):
+            for depth in ("0", "-3"):
+                code, out, err = run(capsys, "t2", "--p", "2", "--q", "2", graph, *oracle, "--max-l", depth)
+                assert code == 2 and out == ""
+                assert err == f"error: oracle search depth must be at least 1, got {depth}\n"
 
 
 def test_ppt_check_and_dump(capsys):
@@ -192,6 +196,22 @@ def test_census_listing_and_stats(capsys):
     assert stats["edge_bound"] == 6
     assert sum(stats["t2_counts"].values()) == 8
     assert len(stats["bound_attained"]) == 1
+
+
+# sha256 of `xorkron census` stdout, taken from the per-bit codec and the per-line print;
+# the (3, 4) listing is pinned in test_acceptance.py
+CENSUS_LISTING_SHA256 = {
+    (2, 3): "966bd59471b897643cfad37ddbe1b6cc55296b563d1e11b028039ddbc5d64551",
+    (3, 3): "e1bc6b1edfde38de9a01a75ce7ea6efda99173eaea3908f19901e4f93402d7b7",
+    (2, 6): "40a034485967c3fc89fb813cd2d19b1363b154d9211af933f340c8cb62660ae8",
+}
+
+
+def test_census_listings_are_pinned(capsys):
+    for (p, q), digest in CENSUS_LISTING_SHA256.items():
+        code, out, err = run(capsys, "census", "--p", str(p), "--q", str(q))
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5)])

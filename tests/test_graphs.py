@@ -30,7 +30,15 @@ from xorkron import (
     two_sum,
 )
 
-from .helpers import dense_rows, random_graph, random_nontrivial
+from xorkron.graphs import GRAPH6_MAX_N
+
+from .helpers import (
+    dense_rows,
+    random_graph,
+    random_nontrivial,
+    reference_graph6_decode,
+    reference_graph6_encode,
+)
 
 
 def test_new_graph_examples():
@@ -147,6 +155,7 @@ def test_graph6_matches_networkx_reference():
     ]
     rng = random.Random(19)
     graphs += [random_graph(rng, rng.randrange(1, 11)) for _ in range(20)]
+    graphs += [random_graph(rng, n) for n in range(GRAPH6_MAX_N + 1)]
     for g in graphs:
         ref = nx.Graph()
         ref.add_nodes_from(range(g.n))
@@ -163,17 +172,57 @@ def test_graph6_roundtrip(n, rnd):
     assert graph6_decode(graph6_encode(g)) == g
 
 
+def test_graph6_matches_the_reference_codec_on_every_graph_up_to_six_vertices():
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = new_graph(n, [pair for t, pair in enumerate(pairs) if (mask >> t) & 1])
+            text = reference_graph6_encode(g)
+            assert graph6_encode(g) == text
+            assert graph6_decode(text) == g
+
+
+def test_graph6_matches_the_reference_codec_at_every_order():
+    rng = random.Random(62)
+    for n in range(GRAPH6_MAX_N + 1):
+        for density in (0.1, 0.5, 0.9):
+            g = random_graph(rng, n, density)
+            text = reference_graph6_encode(g)
+            assert graph6_encode(g) == text
+            assert graph6_decode(text) == g == reference_graph6_decode(text)
+
+
+def test_graph6_decode_ignores_padding_bits_like_the_reference():
+    rng = random.Random(6)
+    for n in range(GRAPH6_MAX_N + 1):
+        nbits = n * (n - 1) // 2
+        padding = (1 << (-nbits % 6)) - 1  # low bits of the last character that hold no edge
+        if not padding:
+            continue
+        body = [rng.randrange(64) for _ in range((nbits + 5) // 6)]
+        body[-1] |= padding
+        text = "".join(chr(v + 63) for v in [n, *body])
+        g = graph6_decode(text)
+        assert g == reference_graph6_decode(text)
+        assert graph6_encode(g) == reference_graph6_encode(g) == text[:-1] + chr((body[-1] & ~padding) + 63)
+
+
 def test_graph6_decode_rejects_malformed():
-    with pytest.raises(ValueError):
-        graph6_decode("")
-    with pytest.raises(ValueError):
-        graph6_decode("C")  # truncated bit field
-    with pytest.raises(ValueError):
-        graph6_decode("C~~~")  # trailing data
-    with pytest.raises(ValueError):
-        graph6_decode("A" + chr(20))  # character below range
-    with pytest.raises(ValueError):
-        graph6_decode("~??????")  # long form header
+    cases = [
+        ("", "empty graph6 string"),
+        ("C", "truncated graph6 bit field: need 1 characters, got 0"),
+        ("}" + "~" * 315, "truncated graph6 bit field: need 316 characters, got 315"),
+        ("C~~~", "trailing data after graph6 bit field (2 extra characters)"),
+        ("A" + chr(20), "graph6 character '\\x14' outside printable range 63..126"),
+        ("A" + chr(127) + chr(20), "graph6 character '\\x7f' outside printable range 63..126"),
+        ("A\u00e9", "graph6 character '\u00e9' outside printable range 63..126"),
+        ("~??????", "long-form graph6 (n >= 63) is not supported"),
+    ]
+    for text, message in cases:
+        for decode in (graph6_decode, reference_graph6_decode):
+            with pytest.raises(ValueError) as info:
+                decode(text)
+            assert str(info.value) == message
 
 
 def test_edge_list_roundtrip():

@@ -112,18 +112,12 @@ def cmd_member(args: argparse.Namespace) -> int:
 def cmd_recognize(args: argparse.Namespace) -> int:
     shape = GridShape(args.p, args.q)
     if shape.order > RECOGNIZE_SCALE_LIMIT and not args.force:
-        print(
-            f"error: recognition above p*q = {RECOGNIZE_SCALE_LIMIT} may run long; pass --force to proceed",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"recognition above p*q = {RECOGNIZE_SCALE_LIMIT} may run long; pass --force to proceed")
     cert = recognize(read_graph(args.graph), shape, use_prefilter=not args.no_prefilter)
     return _print_certificate(cert, args.verify)
 
 
 def cmd_t2(args: argparse.Namespace) -> int:
-    if args.max_l < 1:  # checked whether or not --oracle is given, so a bad value never passes silently
-        raise ValueError(f"oracle search depth must be at least 1, got {args.max_l}")
     k = read_graph(args.graph)
     shape = GridShape(args.p, args.q)
     cert = is_spanning_cross_like(k, shape)
@@ -131,7 +125,7 @@ def cmd_t2(args: argparse.Namespace) -> int:
         return _print_certificate(cert, False)
     out: dict = {"t2": t2_exact(k, shape)}
     if args.oracle:
-        out["oracle"] = t2_bruteforce_oracle(k, shape, args.max_l)
+        out["oracle"] = t2_bruteforce_oracle(k, shape)
     if args.all_labelings:
         out["min_over_labelings"] = t2_min_over_labelings(k, shape)
     print(json.dumps(out, indent=2))
@@ -185,11 +179,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         print(json.dumps(out, indent=2))
         return 0
     if nbits > CENSUS_BIT_LIMIT and not args.force:
-        print(
-            f"error: census at ({args.p}, {args.q}) enumerates 2^{nbits} graphs; pass --force to proceed",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"census at ({args.p}, {args.q}) enumerates 2^{nbits} graphs; pass --force to proceed")
     sys.stdout.writelines(graph6_encode(g) + "\n" for g in census(shape))
     return 0
 
@@ -199,8 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         cert = Certificate.from_json(text)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
-        print(f"error: unreadable certificate: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unreadable certificate: {exc}") from exc
     if _report_problems(cert):
         return 1
     print("certificate ok")
@@ -260,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_shape(sp)
     sp.add_argument("graph")
     sp.add_argument("--oracle", action="store_true", help="also run the exhaustive search oracle")
-    sp.add_argument("--max-l", type=int, default=4, help="oracle search depth (default 4)")
     sp.add_argument(
         "--all-labelings", action="store_true", help="also minimize over every valid labeling"
     )

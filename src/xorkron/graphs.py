@@ -10,8 +10,11 @@ STANDARD_KINDS = ("complete", "path", "cycle", "edgeless")
 
 # The graph6 bit field lists the upper triangle column by column (bit (i, j) for
 # i < j at j(j-1)/2 + i) and packs it six bits to a character, first bit highest.
-# The codec holds it as one int with field bit k at int bit k, so column j is the
+# The encoder holds it as one int with field bit k at int bit k, so column j is the
 # low j bits of row j, and a character is a 6-bit group read in reverse, plus 63.
+# The decoder pads each column to n characters, making the field an n x n string
+# whose line j is column j: row i is line i up to place i, then place i of each
+# later line, read in reverse as one binary numeral.
 _G6_CHARS = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
 _G6_BITS = {v + 63: f"{v:06b}" for v in range(64)}  # character -> its six field bits, in field order
 _G6_DROP_PRINTABLE = str.maketrans("", "", "".join(map(chr, range(63, 127))))
@@ -171,17 +174,9 @@ def graph6_decode(s: str) -> Graph:
         raise ValueError(f"truncated graph6 bit field: need {need} characters, got {len(body)}")
     if len(body) > need:
         raise ValueError(f"trailing data after graph6 bit field ({len(body) - need} extra characters)")
-    bits = int("0" + body.translate(_G6_BITS)[::-1], 2)
-    rows = [0] * n
-    off = 0
-    for j in range(1, n):
-        col = (bits >> off) & ((1 << j) - 1)
-        off += j
-        rows[j] = col
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= 1 << j
-            col ^= low
+    field = body.translate(_G6_BITS)
+    square = "".join([field[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)])
+    rows = [int((square[i * n:i * n + i] + square[i::n][i:])[::-1], 2) for i in range(n)]
     return Graph._trusted(n, rows)
 
 

@@ -76,23 +76,26 @@ def t2_census_counts(shape: GridShape) -> dict[int, int]:
     return counts
 
 
-def t2_bruteforce_oracle(k: Graph, shape: GridShape, max_l: int = 4) -> int | None:
-    """Exact minimum summand count by exhaustive XOR search, or None past max_l.
+def t2_bruteforce_oracle(k: Graph, shape: GridShape) -> int | None:
+    """Exact minimum summand count by exhaustive XOR search, or None for a non-member.
 
     Enumerates every nontrivial factor pair, packs each product graph into a
-    single int, and deepens over multiset sizes l = 1..max_l with repeats
+    single int, and deepens over multiset sizes l = 1..D with repeats
     allowed (two equal summands cancel, which the edgeless member needs).
-    Independent of the rank reduction on purpose.
+    D = max(2, min(a, b)) with a = C(p,2), b = C(q,2) bounds every member's
+    t2, so a search that ends empty-handed has met a non-member. Independent
+    of the rank reduction on purpose. The N < 2^(a+b) products make the
+    search visit under 2^((a+b)(D-1)) combinations, so it refuses shapes
+    where that exponent passes 20.
     """
     p, q = shape
-    if max_l < 1:
-        raise ValueError(f"oracle search depth must be at least 1, got {max_l}")
-    if comb(p, 2) + comb(q, 2) > 12:
-        raise ValueError(f"oracle scale bound exceeded: C({p},2) + C({q},2) > 12")
+    a, b = comb(p, 2), comb(q, 2)
+    depth = max(2, min(a, b))
+    if (a + b) * (depth - 1) > 20:
+        raise ValueError(f"oracle scale bound exceeded: (C({p},2) + C({q},2)) * ({depth} - 1) > 20")
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, shape ({p}, {q}) needs {p * q}")
-    products = sorted({_packed_product(gm, hm, p, q) for gm in range(1, 1 << comb(p, 2))
-                       for hm in range(1, 1 << comb(q, 2))})
+    products = sorted({_packed_product(gm, hm, p, q) for gm in range(1, 1 << a) for hm in range(1, 1 << b)})
     position = {v: t for t, v in enumerate(products)}
     target = _pack_rows(k.rows, k.n)
 
@@ -102,7 +105,7 @@ def t2_bruteforce_oracle(k: Graph, shape: GridShape, max_l: int = 4) -> int | No
             return t is not None and t >= start
         return any(reach(value ^ products[t], l - 1, t) for t in range(start, len(products)))
 
-    for l in range(1, max_l + 1):
+    for l in range(1, depth + 1):
         if reach(target, l, 0):
             return l
     return None

@@ -44,8 +44,12 @@ def ppt_test(k: Graph, p: int) -> bool:
 
     Needs p >= 2, p dividing the vertex count and blocks of size n/p >= 2:
     at p = 1 or p = n the transpose is the plain one or the identity, so
-    every graph would pass. Graphs composed by XOR of tensor products with a
-    size-p left factor always pass, but passing does not certify membership.
+    every graph would pass. With vertex v read as grid cell (v div q, v mod q),
+    q = n/p, the test holds iff every edge that joins distinct rows and
+    distinct columns has its partner, the other diagonal of its grid
+    rectangle; equivalently, iff k without its same-row and same-column edges
+    is a labeled member. Proof sketch: the transpose swaps the two diagonals
+    of every grid rectangle and fixes same-line pairs.
     """
     if p < 2:
         raise ValueError(f"partial-transpose test needs p >= 2, got {p}")

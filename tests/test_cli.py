@@ -136,20 +136,22 @@ def test_t2_with_oracle(capsys):
     assert code == 1
     assert json.loads(out)["verdict"] == "non-member"
 
-    # the edgeless member needs two summands, one more than --max-l 1 lets the oracle try
-    code, out, err = run(capsys, "t2", "--p", "2", "--q", "2", "E4", "--oracle", "--max-l", "1")
+    # the edgeless member needs two equal summands, which the worked-out depth always reaches
+    code, out, err = run(capsys, "t2", "--p", "2", "--q", "2", "E4", "--oracle")
     assert code == 0 and err == ""
-    assert json.loads(out) == {"t2": 2, "oracle": None}
+    assert json.loads(out) == {"t2": 2, "oracle": 2}
 
 
-def test_t2_oracle_depth_below_one_is_an_input_error(capsys):
-    # the depth is checked on its own: an ignored bad value would hide a typo
-    for oracle in (("--oracle",), ()):
-        for graph in (MATCHING_G6, "E4", "P4"):
-            for depth in ("0", "-3"):
-                code, out, err = run(capsys, "t2", "--p", "2", "--q", "2", graph, *oracle, "--max-l", depth)
-                assert code == 2 and out == ""
-                assert err == f"error: oracle search depth must be at least 1, got {depth}\n"
+def test_t2_oracle_refuses_past_its_work_bound(capsys):
+    rank_four = "O?]ed?vIuyTo\\vixZkd\\o"
+    code, out, err = run(capsys, "t2", "--p", "4", "--q", "4", rank_four)
+    assert code == 0 and json.loads(out) == {"t2": 4}
+    for p, q, graph in ((4, 4, rank_four), (3, 5, "E15")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "t2", "--p", str(p), "--q", str(q), graph, "--oracle")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: oracle scale bound exceeded") and err.count("\n") == 1
 
 
 def test_ppt_check_and_dump(capsys):

@@ -131,3 +131,15 @@ def test_package_imports_are_top_level_and_acyclic():
                     nested.append((name, node.lineno, node.module))
     assert nested == []
     list(graphlib.TopologicalSorter(edges).static_order())  # raises CycleError naming a cycle
+
+
+def test_cli_refusals_are_printed_only_by_main():
+    # Commands raise ValueError with the refusal text; main's one handler writes the `error:` line.
+    tree = ast.parse((SRC / "xorkron" / "cli.py").read_text())
+    holders = [
+        getattr(node, "name", type(node).__name__)
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and "error:" in sub.value
+    ]
+    assert holders and set(holders) == {"main"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -14,7 +15,10 @@ from xorkron import (
     GridShape,
     census,
     gf2_rank,
+    graph6_decode,
     graph_from_quadruples,
+    is_spanning_cross_like,
+    new_graph,
     pair_matrix,
     pair_quadruples,
     standard_graph,
@@ -106,21 +110,20 @@ def test_oracle_pinned_values():
     shape = GridShape(2, 2)
     assert t2_bruteforce_oracle(_complete_product(2, 2), shape) == 1
     assert t2_bruteforce_oracle(standard_graph("edgeless", 4), shape) == 2
-    assert t2_bruteforce_oracle(standard_graph("edgeless", 4), shape, 1) is None  # past the depth
     assert t2_bruteforce_oracle(_chain(GridShape(3, 3)), GridShape(3, 3)) == 2
 
 
 def test_oracle_scale_guard():
-    with pytest.raises(ValueError):
-        t2_bruteforce_oracle(standard_graph("edgeless", 24), GridShape(4, 6))
+    # a rank-4 member at (4,4): some 2^60 combinations, refused before any product is built
+    refused = [(graph6_decode("O?]ed?vIuyTo\\vixZkd\\o"), GridShape(4, 4))]
+    refused += [(standard_graph("edgeless", p * q), GridShape(p, q)) for p, q in ((3, 5), (5, 3), (2, 7), (4, 6))]
+    for k, shape in refused:
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="oracle scale bound exceeded"):
+            t2_bruteforce_oracle(k, shape)
+        assert time.perf_counter() - t0 < 1.0
     with pytest.raises(ValueError, match="graph has 5 vertices, shape \\(2, 2\\) needs 4"):
         t2_bruteforce_oracle(standard_graph("edgeless", 5), GridShape(2, 2))
-
-
-def test_oracle_rejects_depth_below_one():
-    for max_l in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
-            t2_bruteforce_oracle(_complete_product(2, 2), GridShape(2, 2), max_l)
 
 
 @pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
@@ -136,6 +139,27 @@ def test_oracle_agreement_on_small_censuses():
         shape = GridShape(p, q)
         for k in census(shape):
             assert t2_exact(k, shape) == t2_bruteforce_oracle(k, shape)
+
+
+@pytest.mark.parametrize("p, q, count", [(3, 4, 12), (4, 3, 4), (2, 6, 3)])
+def test_oracle_agreement_on_seeded_members_at_the_guard(p, q, count):
+    # the largest admitted shapes: every member is found within the worked-out depth
+    shape = GridShape(p, q)
+    rng = random.Random(f"oracle:{p}x{q}")
+    quads = pair_quadruples(shape)
+    members = [standard_graph("edgeless", p * q)]
+    members += [graph_from_quadruples(shape, rng.sample(quads, rng.randrange(1, len(quads) + 1))) for _ in range(count)]
+    for k in members:
+        assert t2_bruteforce_oracle(k, shape) == t2_exact(k, shape)
+
+
+def test_oracle_returns_none_on_a_non_member():
+    for p, q in ((2, 2), (3, 4)):
+        shape = GridShape(p, q)
+        unpartnered = two_sum(_complete_product(p, q), new_graph(p * q, [(0, q + 1)]))
+        for k in (standard_graph("path", p * q), unpartnered):
+            assert not is_spanning_cross_like(k, shape).verdict
+            assert t2_bruteforce_oracle(k, shape) is None
 
 
 def test_rank_never_exceeds_summand_count():

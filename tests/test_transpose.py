@@ -126,7 +126,7 @@ def test_fixed_points_are_exactly_the_graphs_with_every_cross_partner(n, p):
     assert 0 < fixed_count < 1 << len(pairs)
 
 
-@pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (4, 4)])
+@pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (4, 4), (4, 5)])
 def test_members_stay_fixed_under_line_edges_and_leave_under_a_cross_edge(p, q):
     rng = random.Random(f"ppt:{p}x{q}")
     n = p * q

@@ -5,6 +5,14 @@ labeling v = i*q + j, every edge joins cells in distinct rows and distinct
 columns and the opposite corners of its grid rectangle are also joined. Such
 graphs decompose into two-edge "cross" summands, one per edge rectangle.
 
+The decision reads the pair matrix straight off the adjacency rows: row
+(i, i2) is the OR over columns j of ((rows[i*q+j] >> (i2*q+j+1)) & mask_j)
+<< off_j, whose bit for column pair (j, j2) says whether (i, j) ~ (i2, j2).
+k is a member iff no vertex has a neighbour in its own grid row or column
+and every row pair reads the same with i and i2 swapped, so each cross has
+both diagonals or neither. The set bits are then the summands, already in
+sorted order; only a rejected graph walks its edges, to name its witness.
+
 The module also holds the labeling search, which verify_certificate reruns to
 check a non-member witness. A labeling is valid iff the grid rows and columns
 are independent sets and every edge rectangle is closed (both diagonals
@@ -224,9 +232,13 @@ def find_violation(k: Graph, shape: GridShape) -> Witness | None:
     Same-row and same-column edges are reported before missing cross partners
     so the witness names the most local defect available.
     """
-    p, q = shape
-    if k.n != p * q:
-        raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
+    if _pair_rows(k, shape) is not None:
+        return None
+    return _first_defect(k, shape.q)
+
+
+def _first_defect(k: Graph, q: int) -> Witness | None:
+    """The witness of find_violation, by one walk over the edges; None only for a member."""
     missing = None
     for u, v in k.edges():
         reason = _edge_defect(k, q, u, v)
@@ -252,20 +264,80 @@ def _edge_defect(k: Graph, q: int, u: int, v: int) -> str | None:
     return None
 
 
-def _quads(k: Graph, q: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Cross quadruples (i, i2, j, j2) of a graph that meets the cross condition, sorted.
+@lru_cache(maxsize=None)
+def _pair_layout(p: int, q: int) -> tuple[tuple, tuple, tuple]:
+    """Tables for _pair_rows at shape (p, q).
 
-    Each cross has two edges u < v, and exactly one of them has u % q < v % q.
+    lines[v] masks v's grid row and column. reads[r] holds, for the r-th row
+    pair (i, i2) of combinations order, one term (i*q + j, i2*q + j + 1,
+    i2*q + j, i*q + j + 1, mask_j, off_j) per column j < q - 1, where
+    mask_j = (1 << (q-1-j)) - 1 and off_j, the sum of q-1-t over t < j, is the
+    index of column pair (j, j+1). quads[r][t] is the cross of row pair r and
+    column pair t.
     """
-    return tuple(sorted((u // q, v // q, u % q, v % q) for u, v in k.edges() if u % q < v % q))
+    column = [sum(1 << (r * q + j) for r in range(p)) for j in range(q)]
+    lines = tuple(((1 << q) - 1) << (v - v % q) | column[v % q] for v in range(p * q))
+    mask_off = [((1 << (q - 1 - j)) - 1, sum(q - 1 - t for t in range(j))) for j in range(q - 1)]
+    reads = tuple(
+        tuple((i * q + j, i2 * q + j + 1, i2 * q + j, i * q + j + 1, *mask_off[j]) for j in range(q - 1))
+        for i, i2 in combinations(range(p), 2)
+    )
+    col_pairs = tuple(combinations(range(q), 2))
+    quads = tuple(tuple(rp + cp for cp in col_pairs) for rp in combinations(range(p), 2))
+    return lines, reads, quads
+
+
+def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
+    """Pair matrix of k under the grid labeling, or None when k is not a labeled member.
+
+    The read-off and member test of the module docstring: row (i, i2) holds the
+    edges (i, j) ~ (i2, j2), j < j2, and its swapped read the other diagonals.
+    """
+    p, q = shape
+    if k.n != p * q:
+        raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
+    rows = k.rows
+    lines, reads, _ = _pair_layout(p, q)
+    if any(map(int.__and__, rows, lines)):
+        return None
+    out = []
+    for terms in reads:
+        here = there = 0
+        for x, sx, y, sy, mask, off in terms:
+            here |= ((rows[x] >> sx) & mask) << off
+            there |= ((rows[y] >> sy) & mask) << off
+        if here != there:
+            return None
+        out.append(here)
+    return tuple(out)
+
+
+def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
+    """_pair_rows of a labeled member; raises ValueError naming the witness otherwise."""
+    pairs = _pair_rows(k, shape)
+    if pairs is None:
+        w = _first_defect(k, shape.q)
+        raise ValueError(f"not a labeled member: {w.reason} at edge {w.edge}")
+    return pairs
+
+
+def _summands(pairs: tuple[int, ...], shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
+    """The crosses (i, i2, j, j2) whose bits are set in a pair matrix, sorted."""
+    out = []
+    for quads, m in zip(_pair_layout(shape.p, shape.q)[2], pairs):
+        while m:
+            low = m & -m
+            out.append(quads[low.bit_length() - 1])
+            m ^= low
+    return tuple(out)
 
 
 def is_spanning_cross_like(k: Graph, shape: GridShape) -> Certificate:
     """Decide labeled membership for k under the identity grid labeling."""
-    w = find_violation(k, shape)
-    if w is not None:
-        return Certificate(False, shape, k, witness=w)
-    quads = _quads(k, shape.q)
+    pairs = _pair_rows(k, shape)
+    if pairs is None:
+        return Certificate(False, shape, k, witness=_first_defect(k, shape.q))
+    quads = _summands(pairs, shape)
     return Certificate(
         True,
         shape,
@@ -283,10 +355,7 @@ def elementary_decomposition(k: Graph, shape: GridShape) -> tuple[tuple[int, int
     quadruples toggle disjoint edge pairs, so XOR of the corresponding
     two-edge graphs reproduces k exactly. Raises on a non-member.
     """
-    w = find_violation(k, shape)
-    if w is not None:
-        raise ValueError(f"not a labeled member: {w.reason} at edge {w.edge}")
-    return _quads(k, shape.q)
+    return _summands(_member_pair_rows(k, shape), shape)
 
 
 def edge_bound_check(k: Graph, shape: GridShape) -> tuple[int, bool]:

@@ -9,12 +9,13 @@ edgeless member needs two summands (one product is never edgeless).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .algebra import tensor_product
 from .graphs import Graph, new_graph
-from .membership import GridShape, elementary_decomposition, valid_labelings
+from .membership import GridShape, _member_pair_rows, valid_labelings
 
 
 def pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:
@@ -23,15 +24,9 @@ def pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:
     Row r stands for the r-th grid-row pair (i, i2) and bit t of rows[r] for
     the t-th grid-column pair (j, j2), both in the lexicographic order of
     itertools.combinations. The bit is set iff the cross (i, i2, j, j2) is a
-    summand of k.
+    summand of k. The rows are read straight off k's adjacency rows.
     """
-    p, q = shape
-    row_index = {pair: t for t, pair in enumerate(combinations(range(p), 2))}
-    col_index = {pair: t for t, pair in enumerate(combinations(range(q), 2))}
-    rows = [0] * len(row_index)
-    for i, i2, j, j2 in elementary_decomposition(k, shape):
-        rows[row_index[(i, i2)]] |= 1 << col_index[(j, j2)]
-    return tuple(rows)
+    return _member_pair_rows(k, shape)
 
 
 def gf2_rank(rows: tuple[int, ...] | list[int]) -> int:
@@ -80,7 +75,7 @@ def t2_bruteforce_oracle(k: Graph, shape: GridShape) -> int | None:
     """Exact minimum summand count by exhaustive XOR search, or None for a non-member.
 
     Enumerates every nontrivial factor pair, packs each product graph into a
-    single int, and deepens over multiset sizes l = 1..D with repeats
+    single int (once per shape), and deepens over multiset sizes l = 1..D with repeats
     allowed (two equal summands cancel, which the edgeless member needs).
     D = max(2, min(a, b)) with a = C(p,2), b = C(q,2) bounds every member's
     t2, so a search that ends empty-handed has met a non-member. Independent
@@ -95,8 +90,7 @@ def t2_bruteforce_oracle(k: Graph, shape: GridShape) -> int | None:
         raise ValueError(f"oracle scale bound exceeded: (C({p},2) + C({q},2)) * ({depth} - 1) > 20")
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, shape ({p}, {q}) needs {p * q}")
-    products = sorted({_packed_product(gm, hm, p, q) for gm in range(1, 1 << a) for hm in range(1, 1 << b)})
-    position = {v: t for t, v in enumerate(products)}
+    products, position = _oracle_products(p, q)
     target = _pack_rows(k.rows, k.n)
 
     def reach(value: int, l: int, start: int) -> bool:
@@ -127,6 +121,17 @@ def t2_min_over_labelings(k: Graph, shape: GridShape) -> int | None:
             if best == 1:
                 break
     return best
+
+
+@lru_cache(maxsize=None)
+def _oracle_products(p: int, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Every distinct packed product of nontrivial factors on p and q vertices, sorted, and its position.
+
+    Built on a shape's first oracle call and kept for the later ones.
+    """
+    a, b = comb(p, 2), comb(q, 2)
+    products = tuple(sorted({_packed_product(gm, hm, p, q) for gm in range(1, 1 << a) for hm in range(1, 1 << b)}))
+    return products, {v: t for t, v in enumerate(products)}
 
 
 def _packed_product(gm: int, hm: int, p: int, q: int) -> int:

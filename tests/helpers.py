@@ -7,8 +7,9 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from xorkron import Graph, GridShape, census, edge_bound_check, graph6_encode, new_graph, t2_exact
+from xorkron import Graph, GridShape, Witness, census, edge_bound_check, graph6_encode, new_graph, t2_exact
 from xorkron.graphs import GRAPH6_MAX_N
+from xorkron.membership import REASON_MISSING_PARTNER, REASON_SAME_LINE
 
 
 def naive_cross_like(k: Graph, p: int, q: int) -> bool:
@@ -29,6 +30,49 @@ def naive_cross_like(k: Graph, p: int, q: int) -> bool:
             if not adj(i * q + j2, i2 * q + j):
                 return False
     return True
+
+
+def reference_violation(k: Graph, shape: GridShape) -> Witness | None:
+    """The cross condition checked edge by edge in sorted order.
+
+    The first same-row or same-column edge wins; failing that, the first edge
+    whose partner diagonal is missing; None when every edge passes.
+    """
+    p, q = shape
+    if k.n != p * q:
+        raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
+    missing = None
+    for u, v in k.edges():
+        i, j = divmod(u, q)
+        i2, j2 = divmod(v, q)
+        if i == i2 or j == j2:
+            return Witness(REASON_SAME_LINE, (u, v))
+        if missing is None and not k.has_edge(i * q + j2, i2 * q + j):
+            missing = Witness(REASON_MISSING_PARTNER, (u, v))
+    return missing
+
+
+def reference_summands(k: Graph, shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
+    """Cross quadruples of a labeled member by walking its edges, sorted; ValueError otherwise.
+
+    Each cross has two edges u < v, and exactly one of them has u % q < v % q.
+    """
+    w = reference_violation(k, shape)
+    if w is not None:
+        raise ValueError(f"not a labeled member: {w.reason} at edge {w.edge}")
+    q = shape.q
+    return tuple(sorted((u // q, v // q, u % q, v % q) for u, v in k.edges() if u % q < v % q))
+
+
+def reference_pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:
+    """Pair matrix from reference_summands through row-pair and column-pair index dicts."""
+    p, q = shape
+    row_index = {pair: t for t, pair in enumerate(combinations(range(p), 2))}
+    col_index = {pair: t for t, pair in enumerate(combinations(range(q), 2))}
+    rows = [0] * len(row_index)
+    for i, i2, j, j2 in reference_summands(k, shape):
+        rows[row_index[(i, i2)]] |= 1 << col_index[(j, j2)]
+    return tuple(rows)
 
 
 def brute_valid_labelings(k: Graph, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
@@ -180,6 +224,13 @@ def census_stats_by_enumeration(p: int, q: int) -> dict:
         "t2_counts": {str(k): t2_hist[k] for k in sorted(t2_hist)},
         "bound_attained": attained,
     }
+
+
+def every_graph(n: int):
+    """Every labeled graph on n vertices, one per subset of vertex pairs."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield new_graph(n, [e for t, e in enumerate(pairs) if mask >> t & 1])
 
 
 def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:

@@ -2,6 +2,8 @@
 
 Core claims covered here:
     - verdicts agree with an independent loop-based reimplementation
+    - the pair read-off gives the witnesses, certificates, summands and pair
+      matrices of the per-edge walk in tests/helpers.py
     - decomposition and XOR recombination are mutually inverse
     - the labeled census at (2,2) is exactly the set passing the verdict,
       over all 64 labeled 4-vertex graphs
@@ -13,12 +15,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from xorkron import (
     Certificate,
+    Graph,
     GridLabeling,
     GridShape,
     Witness,
@@ -28,9 +32,11 @@ from xorkron import (
     graph_from_quadruples,
     is_spanning_cross_like,
     new_graph,
+    pair_matrix,
     pair_quadruples,
     standard_graph,
     tensor_product,
+    two_sum,
     verify_certificate,
 )
 from xorkron.membership import (
@@ -42,8 +48,16 @@ from xorkron.membership import (
     REASON_SEARCH_EXHAUSTED,
     find_violation,
 )
+from xorkron.graphs import GRAPH6_MAX_N
 
-from .helpers import naive_cross_like, random_graph
+from .helpers import (
+    every_graph,
+    naive_cross_like,
+    random_graph,
+    reference_pair_matrix,
+    reference_summands,
+    reference_violation,
+)
 
 
 def _complete_product(p: int, q: int):
@@ -431,3 +445,65 @@ HONEST_23 = is_spanning_cross_like(_complete_product(2, 3), GridShape(2, 3))
 )
 def test_verify_certificate_names_each_false_claim(cert, problem):
     assert verify_certificate(cert) == [problem]
+
+
+def _seeded_members_toggled(shape: GridShape, count: int):
+    rng = random.Random(f"read-off:{shape.p}x{shape.q}")
+    quads = pair_quadruples(shape)
+    for _ in range(count):
+        k = graph_from_quadruples(shape, [quad for quad in quads if rng.random() < rng.random()])
+        yield k
+        yield two_sum(k, new_graph(k.n, [rng.sample(range(k.n), 2)]))
+
+
+def _read_off_corpus(name: str):
+    if name == "every-graph":
+        for n, shapes in ((4, [GridShape(2, 2)]), (6, [GridShape(2, 3), GridShape(3, 2)])):
+            for k in every_graph(n):
+                for shape in shapes:
+                    yield k, shape
+    elif name == "census-and-toggles":
+        for shape in (GridShape(3, 3), GridShape(2, 4)):
+            for k in census(shape):
+                yield k, shape
+                for u, v in combinations(range(k.n), 2):
+                    yield two_sum(k, new_graph(k.n, [(u, v)])), shape
+    else:
+        for p, q in ((4, 5), (5, 5), (7, 8), (8, 8)):
+            for k in _seeded_members_toggled(GridShape(p, q), 10):
+                yield k, GridShape(p, q)
+
+
+def _value_or_error(f, k: Graph, shape: GridShape):
+    try:
+        return f(k, shape)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("corpus", ["every-graph", "census-and-toggles", "seeded-toggles"])
+def test_pair_read_off_agrees_with_the_edge_walk(corpus):
+    # the word-parallel read-off gives the witnesses, certificates, summands and pair
+    # matrices of the per-edge walk it replaced, byte for byte
+    seen = Counter()
+    for k, shape in _read_off_corpus(corpus):
+        w = reference_violation(k, shape)
+        seen[w.reason if w else "member"] += 1
+        assert find_violation(k, shape) == w
+        if w is None:
+            quads = reference_summands(k, shape)
+            want = Certificate(
+                True, shape, k, labeling=GridLabeling.identity(shape), summands=quads, empty_decomposition=not quads
+            )
+        else:
+            want = Certificate(False, shape, k, witness=w)
+        cert = is_spanning_cross_like(k, shape)
+        assert cert == want
+        # to_json is json.dumps of to_dict; the two large corpora compare the dicts to stay quick
+        if corpus != "seeded-toggles":
+            assert cert.to_dict() == want.to_dict()
+        elif k.n <= GRAPH6_MAX_N:
+            assert cert.to_json() == want.to_json()
+        assert _value_or_error(elementary_decomposition, k, shape) == _value_or_error(reference_summands, k, shape)
+        assert _value_or_error(pair_matrix, k, shape) == _value_or_error(reference_pair_matrix, k, shape)
+    assert set(seen) == {"member", REASON_SAME_LINE, REASON_MISSING_PARTNER}

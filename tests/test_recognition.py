@@ -34,6 +34,7 @@ from xorkron.membership import (
 from .helpers import (
     brute_row_partition,
     brute_valid_labelings,
+    every_graph,
     is_canonical,
     naive_least_labeling,
     random_graph,
@@ -73,15 +74,9 @@ def test_prefilter_partition_failure():
     assert not has_independent_row_partition(k, shape)
 
 
-def _every_graph(n: int):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield new_graph(n, [e for t, e in enumerate(pairs) if mask >> t & 1])
-
-
 def test_row_partition_matches_brute_force():
-    cases = [(k, (2, 2)) for k in _every_graph(4)]
-    cases += [(k, shape) for k in _every_graph(6) for shape in ((2, 3), (3, 2))]
+    cases = [(k, (2, 2)) for k in every_graph(4)]
+    cases += [(k, shape) for k in every_graph(6) for shape in ((2, 3), (3, 2))]
     rng = random.Random(127)
     for p, q in ((3, 3), (2, 4), (3, 4)):
         cases += [(random_graph(rng, p * q, rng.choice((0.2, 0.35, 0.5))), (p, q)) for _ in range(200)]

@@ -134,6 +134,16 @@ def test_census_counts_match_the_enumeration(p, q):
     assert list(counts) == sorted(counts)
 
 
+def test_census_ranks_at_2_6_within_budget():
+    # 2^15 members, each ranked from its pair matrix; the read-off keeps this well inside the budget
+    shape = GridShape(2, 6)
+    t0 = time.perf_counter()
+    counts = Counter(t2_exact(k, shape) for k in census(shape))
+    elapsed = time.perf_counter() - t0
+    assert counts == t2_census_counts(shape)
+    assert elapsed < 0.5, f"t2_exact over the (2,6) census took {elapsed:.2f} s"
+
+
 def test_oracle_agreement_on_small_censuses():
     for p, q in ((2, 2), (2, 3)):
         shape = GridShape(p, q)

@@ -27,8 +27,8 @@ from .membership import (
     verify_certificate,
 )
 from .recognition import prefilter, recognize
-from .t2 import gf2_rank, pair_matrix, t2_bruteforce_oracle, t2_exact, t2_min_over_labelings
-from .transpose import format_matrix_text, parse_matrix_text, partial_transpose, ppt_test
+from .t2 import gf2_rank, pair_matrix, t2_exact, t2_min_over_labelings
+from .transpose import format_matrix_text, partial_transpose, ppt_test
 
 __all__ = [
     "Certificate",
@@ -53,13 +53,11 @@ __all__ = [
     "pair_matrix",
     "pair_quadruples",
     "parse_edge_list",
-    "parse_matrix_text",
     "partial_transpose",
     "ppt_test",
     "prefilter",
     "recognize",
     "standard_graph",
-    "t2_bruteforce_oracle",
     "t2_exact",
     "t2_min_over_labelings",
     "tensor_2sum",

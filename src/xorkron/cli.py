@@ -32,7 +32,7 @@ from .membership import (
     verify_certificate,
 )
 from .recognition import recognize
-from .t2 import t2_bruteforce_oracle, t2_census_counts, t2_exact, t2_min_over_labelings
+from .t2 import t2_census_counts, t2_exact, t2_min_over_labelings
 from .transpose import format_matrix_text, partial_transpose, ppt_test
 
 RECOGNIZE_SCALE_LIMIT = 16
@@ -124,8 +124,6 @@ def cmd_t2(args: argparse.Namespace) -> int:
     if not cert.verdict:
         return _print_certificate(cert, False)
     out: dict = {"t2": t2_exact(k, shape)}
-    if args.oracle:
-        out["oracle"] = t2_bruteforce_oracle(k, shape)
     if args.all_labelings:
         out["min_over_labelings"] = t2_min_over_labelings(k, shape)
     print(json.dumps(out, indent=2))
@@ -248,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("t2", cmd_t2, "least summand count of a labeled member")
     add_shape(sp)
     sp.add_argument("graph")
-    sp.add_argument("--oracle", action="store_true", help="also run the exhaustive search oracle")
     sp.add_argument(
         "--all-labelings", action="store_true", help="also minimize over every valid labeling"
     )

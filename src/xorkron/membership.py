@@ -104,7 +104,9 @@ class GridLabeling:
         return tuple(self.grid_index(v) for v in range(len(self.cells)))
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def identity(shape: GridShape) -> GridLabeling:
+        """The labeling v -> (v div q, v mod q), built once per shape (it is frozen)."""
         p, q = shape
         return GridLabeling(shape, tuple((v // q, v % q) for v in range(p * q)))
 
@@ -372,12 +374,7 @@ def edge_bound_check(k: Graph, shape: GridShape) -> tuple[int, bool]:
 
 def pair_quadruples(shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
     """All C(p,2)*C(q,2) cross quadruples (i, i2, j, j2), in sorted order."""
-    p, q = shape
-    return tuple(
-        (i, i2, j, j2)
-        for i, i2 in combinations(range(p), 2)
-        for j, j2 in combinations(range(q), 2)
-    )
+    return tuple(quad for row in _pair_layout(shape.p, shape.q)[2] for quad in row)
 
 
 def graph_from_quadruples(

@@ -1,4 +1,4 @@
-"""Minimal summand counts via GF(2) rank of the pair matrix, with an oracle.
+"""Minimal summand counts via GF(2) rank of the pair matrix.
 
 A product G (x) H toggles exactly the cross pairs (edge of G) x (edge of H),
 which is a rank-one matrix over the row-pair/column-pair index sets. XOR of
@@ -9,12 +9,9 @@ edgeless member needs two summands (one product is never edgeless).
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations
 from math import comb
 
-from .algebra import tensor_product
-from .graphs import Graph, new_graph
+from .graphs import Graph
 from .membership import GridShape, _member_pair_rows, valid_labelings
 
 
@@ -71,40 +68,6 @@ def t2_census_counts(shape: GridShape) -> dict[int, int]:
     return counts
 
 
-def t2_bruteforce_oracle(k: Graph, shape: GridShape) -> int | None:
-    """Exact minimum summand count by exhaustive XOR search, or None for a non-member.
-
-    Enumerates every nontrivial factor pair, packs each product graph into a
-    single int (once per shape), and deepens over multiset sizes l = 1..D with repeats
-    allowed (two equal summands cancel, which the edgeless member needs).
-    D = max(2, min(a, b)) with a = C(p,2), b = C(q,2) bounds every member's
-    t2, so a search that ends empty-handed has met a non-member. Independent
-    of the rank reduction on purpose. The N < 2^(a+b) products make the
-    search visit under 2^((a+b)(D-1)) combinations, so it refuses shapes
-    where that exponent passes 20.
-    """
-    p, q = shape
-    a, b = comb(p, 2), comb(q, 2)
-    depth = max(2, min(a, b))
-    if (a + b) * (depth - 1) > 20:
-        raise ValueError(f"oracle scale bound exceeded: (C({p},2) + C({q},2)) * ({depth} - 1) > 20")
-    if k.n != p * q:
-        raise ValueError(f"graph has {k.n} vertices, shape ({p}, {q}) needs {p * q}")
-    products, position = _oracle_products(p, q)
-    target = _pack_rows(k.rows, k.n)
-
-    def reach(value: int, l: int, start: int) -> bool:
-        if l == 1:
-            t = position.get(value)
-            return t is not None and t >= start
-        return any(reach(value ^ products[t], l - 1, t) for t in range(start, len(products)))
-
-    for l in range(1, depth + 1):
-        if reach(target, l, 0):
-            return l
-    return None
-
-
 def t2_min_over_labelings(k: Graph, shape: GridShape) -> int | None:
     """Least t2_exact over every valid labeling of k, or None for a non-member.
 
@@ -121,29 +84,3 @@ def t2_min_over_labelings(k: Graph, shape: GridShape) -> int | None:
             if best == 1:
                 break
     return best
-
-
-@lru_cache(maxsize=None)
-def _oracle_products(p: int, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Every distinct packed product of nontrivial factors on p and q vertices, sorted, and its position.
-
-    Built on a shape's first oracle call and kept for the later ones.
-    """
-    a, b = comb(p, 2), comb(q, 2)
-    products = tuple(sorted({_packed_product(gm, hm, p, q) for gm in range(1, 1 << a) for hm in range(1, 1 << b)}))
-    return products, {v: t for t, v in enumerate(products)}
-
-
-def _packed_product(gm: int, hm: int, p: int, q: int) -> int:
-    """Packed rows of G (x) H; bit t of gm (hm) makes the t-th pair of combinations an edge of G (H)."""
-    g = new_graph(p, (pair for t, pair in enumerate(combinations(range(p), 2)) if (gm >> t) & 1))
-    h = new_graph(q, (pair for t, pair in enumerate(combinations(range(q), 2)) if (hm >> t) & 1))
-    prod = tensor_product(g, h)
-    return _pack_rows(prod.rows, prod.n)
-
-
-def _pack_rows(rows: tuple[int, ...] | list[int], n: int) -> int:
-    acc = 0
-    for r, row in enumerate(rows):
-        acc |= row << (r * n)
-    return acc

@@ -63,25 +63,3 @@ def ppt_test(k: Graph, p: int) -> bool:
 def format_matrix_text(rows: tuple[int, ...] | list[int], n: int) -> str:
     """One line of n '0'/'1' characters per row; bit c prints at column c."""
     return "\n".join("".join(str((row >> c) & 1) for c in range(n)) for row in rows) + "\n"
-
-
-def parse_matrix_text(text: str) -> tuple[int, tuple[int, ...]]:
-    """Inverse of format_matrix_text; returns (n, rows). Rows must be square.
-
-    Blank lines are skipped, so text of line breaks alone is the 0 x 0
-    matrix, which format_matrix_text writes as one line break.
-    """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        if "\n" in text:
-            return 0, ()
-        raise ValueError("empty matrix text")
-    n = len(lines)
-    rows = []
-    for r, ln in enumerate(lines):
-        if len(ln) != n:
-            raise ValueError(f"row {r} has {len(ln)} columns, expected {n}")
-        if set(ln) - {"0", "1"}:
-            raise ValueError(f"row {r} has characters other than 0/1")
-        rows.append(sum((1 << c) for c, ch in enumerate(ln) if ch == "1"))
-    return n, tuple(rows)

@@ -6,8 +6,19 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
-from xorkron import Graph, GridShape, Witness, census, edge_bound_check, graph6_encode, new_graph, t2_exact
+from xorkron import (
+    Graph,
+    GridShape,
+    Witness,
+    census,
+    edge_bound_check,
+    graph6_encode,
+    new_graph,
+    t2_exact,
+    tensor_product,
+)
 from xorkron.graphs import GRAPH6_MAX_N
 from xorkron.membership import REASON_MISSING_PARTNER, REASON_SAME_LINE
 
@@ -73,6 +84,87 @@ def reference_pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:
     for i, i2, j, j2 in reference_summands(k, shape):
         rows[row_index[(i, i2)]] |= 1 << col_index[(j, j2)]
     return tuple(rows)
+
+
+def t2_bruteforce_oracle(k: Graph, shape: GridShape) -> int | None:
+    """Exact minimum summand count by exhaustive XOR search, or None for a non-member.
+
+    Enumerates every nontrivial factor pair, packs each product graph into a
+    single int (once per shape), and deepens over multiset sizes l = 1..D with repeats
+    allowed (two equal summands cancel, which the edgeless member needs).
+    D = max(2, min(a, b)) with a = C(p,2), b = C(q,2) bounds every member's
+    t2, so a search that ends empty-handed has met a non-member. Independent
+    of the rank reduction on purpose. The N < 2^(a+b) products make the
+    search visit under 2^((a+b)(D-1)) combinations, so it refuses shapes
+    where that exponent passes 20.
+    """
+    p, q = shape
+    a, b = comb(p, 2), comb(q, 2)
+    depth = max(2, min(a, b))
+    if (a + b) * (depth - 1) > 20:
+        raise ValueError(f"oracle scale bound exceeded: (C({p},2) + C({q},2)) * ({depth} - 1) > 20")
+    if k.n != p * q:
+        raise ValueError(f"graph has {k.n} vertices, shape ({p}, {q}) needs {p * q}")
+    products, position = _oracle_products(p, q)
+    target = _pack_rows(k.rows, k.n)
+
+    def reach(value: int, l: int, start: int) -> bool:
+        if l == 1:
+            t = position.get(value)
+            return t is not None and t >= start
+        return any(reach(value ^ products[t], l - 1, t) for t in range(start, len(products)))
+
+    for l in range(1, depth + 1):
+        if reach(target, l, 0):
+            return l
+    return None
+
+@lru_cache(maxsize=None)
+def _oracle_products(p: int, q: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Every distinct packed product of nontrivial factors on p and q vertices, sorted, and its position.
+
+    Built on a shape's first oracle call and kept for the later ones.
+    """
+    a, b = comb(p, 2), comb(q, 2)
+    products = tuple(sorted({_packed_product(gm, hm, p, q) for gm in range(1, 1 << a) for hm in range(1, 1 << b)}))
+    return products, {v: t for t, v in enumerate(products)}
+
+
+def _packed_product(gm: int, hm: int, p: int, q: int) -> int:
+    """Packed rows of G (x) H; bit t of gm (hm) makes the t-th pair of combinations an edge of G (H)."""
+    g = new_graph(p, (pair for t, pair in enumerate(combinations(range(p), 2)) if (gm >> t) & 1))
+    h = new_graph(q, (pair for t, pair in enumerate(combinations(range(q), 2)) if (hm >> t) & 1))
+    prod = tensor_product(g, h)
+    return _pack_rows(prod.rows, prod.n)
+
+
+def _pack_rows(rows: tuple[int, ...] | list[int], n: int) -> int:
+    acc = 0
+    for r, row in enumerate(rows):
+        acc |= row << (r * n)
+    return acc
+
+
+def parse_matrix_text(text: str) -> tuple[int, tuple[int, ...]]:
+    """Inverse of format_matrix_text; returns (n, rows). Rows must be square.
+
+    Blank lines are skipped, so text of line breaks alone is the 0 x 0
+    matrix, which format_matrix_text writes as one line break.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        if "\n" in text:
+            return 0, ()
+        raise ValueError("empty matrix text")
+    n = len(lines)
+    rows = []
+    for r, ln in enumerate(lines):
+        if len(ln) != n:
+            raise ValueError(f"row {r} has {len(ln)} columns, expected {n}")
+        if set(ln) - {"0", "1"}:
+            raise ValueError(f"row {r} has characters other than 0/1")
+        rows.append(sum((1 << c) for c, ch in enumerate(ln) if ch == "1"))
+    return n, tuple(rows)
 
 
 def brute_valid_labelings(k: Graph, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:

@@ -30,7 +30,6 @@ from xorkron import (
     ppt_test,
     recognize,
     standard_graph,
-    t2_bruteforce_oracle,
     t2_exact,
     tensor_2sum,
     tensor_elementary,
@@ -42,7 +41,7 @@ from xorkron import (
 from xorkron.cli import main
 from xorkron.membership import REASON_ODD_EDGES, REASON_SEARCH_EXHAUSTED
 
-from .helpers import brute_valid_labelings, random_graph, random_nontrivial
+from .helpers import brute_valid_labelings, random_graph, random_nontrivial, t2_bruteforce_oracle
 
 
 def _complete_product(p: int, q: int):

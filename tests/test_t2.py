@@ -22,7 +22,6 @@ from xorkron import (
     pair_matrix,
     pair_quadruples,
     standard_graph,
-    t2_bruteforce_oracle,
     t2_exact,
     t2_min_over_labelings,
     tensor_elementary,
@@ -31,7 +30,7 @@ from xorkron import (
 )
 from xorkron.t2 import t2_census_counts
 
-from .helpers import brute_valid_labelings, random_graph
+from .helpers import brute_valid_labelings, random_graph, t2_bruteforce_oracle
 
 
 def _complete_product(p: int, q: int):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from xorkron import (
     graph_from_quadruples,
     new_graph,
     pair_quadruples,
-    parse_matrix_text,
     partial_transpose,
     ppt_test,
     standard_graph,
@@ -24,7 +24,7 @@ from xorkron import (
 )
 from xorkron.membership import REASON_SAME_LINE, find_violation
 
-from .helpers import random_nontrivial
+from .helpers import parse_matrix_text, random_nontrivial
 
 
 def _random_bits(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -123,7 +123,10 @@ def test_fixed_points_are_exactly_the_graphs_with_every_cross_partner(n, p):
         fixed = ppt_test(k, p)
         _check_fixed_point(k, p, fixed)
         fixed_count += fixed
-    assert 0 < fixed_count < 1 << len(pairs)
+    # free: each cross as a whole, each same-row pair and each same-column pair
+    q = n // p
+    a, b = comb(p, 2), comb(q, 2)
+    assert fixed_count == 2 ** (a * b + p * b + q * a)
 
 
 @pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (4, 4), (4, 5)])

@@ -79,18 +79,10 @@ def _emit_graph(g: Graph, as_edges: bool) -> None:
         print(graph6_encode(g))
 
 
-def _report_problems(cert: Certificate) -> bool:
-    """Print each verify_certificate problem as a `verify:` line on stderr; True if any."""
-    problems = verify_certificate(cert)
-    for pb in problems:
-        print(f"verify: {pb}", file=sys.stderr)
-    return bool(problems)
-
-
-def _print_certificate(cert: Certificate, verify: bool) -> int:
-    """Print cert as JSON; exit 0 for a member and 1 otherwise, or 2 when --verify finds a problem."""
+def _print_certificate(cert: Certificate) -> int:
+    """Print cert as JSON; exit 0 for a member and 1 otherwise."""
     print(cert.to_json())
-    return 2 if verify and _report_problems(cert) else 0 if cert.verdict else 1
+    return 0 if cert.verdict else 1
 
 
 def cmd_binary(args: argparse.Namespace) -> int:
@@ -106,15 +98,15 @@ def cmd_elementary(args: argparse.Namespace) -> int:
 
 def cmd_member(args: argparse.Namespace) -> int:
     cert = is_spanning_cross_like(read_graph(args.graph), GridShape(args.p, args.q))
-    return _print_certificate(cert, args.verify)
+    return _print_certificate(cert)
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
     shape = GridShape(args.p, args.q)
     if shape.order > RECOGNIZE_SCALE_LIMIT and not args.force:
         raise ValueError(f"recognition above p*q = {RECOGNIZE_SCALE_LIMIT} may run long; pass --force to proceed")
-    cert = recognize(read_graph(args.graph), shape, use_prefilter=not args.no_prefilter)
-    return _print_certificate(cert, args.verify)
+    cert = recognize(read_graph(args.graph), shape)
+    return _print_certificate(cert)
 
 
 def cmd_t2(args: argparse.Namespace) -> int:
@@ -122,7 +114,7 @@ def cmd_t2(args: argparse.Namespace) -> int:
     shape = GridShape(args.p, args.q)
     cert = is_spanning_cross_like(k, shape)
     if not cert.verdict:
-        return _print_certificate(cert, False)
+        return _print_certificate(cert)
     out: dict = {"t2": t2_exact(k, shape)}
     if args.all_labelings:
         out["min_over_labelings"] = t2_min_over_labelings(k, shape)
@@ -146,15 +138,14 @@ def cmd_build_ppt(args: argparse.Namespace) -> int:
     g = read_graph(args.graph)
     h, labeling = build_ppt_graph(g)
     cert = is_spanning_cross_like(h, labeling.shape)
+    text = cert.to_json()  # before any output: past 62 vertices it raises, and stdout stays empty
     _emit_graph(h, args.edges)
-    print(cert.to_json())
+    print(text)
     n, m = g.n, g.edge_count
     matched = verify_components(h, g)
     note = "verified" if matched else "MISMATCH"
     print(f"components: input graph + {m} K2 + {n * n - n - 2 * m} K1 [{note}]", file=sys.stderr)
-    if not cert.verdict or not matched:
-        return 2
-    return 2 if args.verify and _report_problems(cert) else 0
+    return 0 if cert.verdict and matched else 2
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -188,7 +179,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cert = Certificate.from_json(text)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"unreadable certificate: {exc}") from exc
-    if _report_problems(cert):
+    problems = verify_certificate(cert)
+    for pb in problems:
+        print(f"verify: {pb}", file=sys.stderr)
+    if problems:
         return 1
     print("certificate ok")
     return 0
@@ -207,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name: str, func, help_text: str, *aliases: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text, aliases=list(aliases))
+    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         return sp
 
@@ -231,17 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(name, type=int)
     sp.add_argument("--edges", action="store_true", help="emit an edge list instead of graph6")
 
-    sp = add("member", cmd_member, "labeled membership certificate and its cross summands", "decompose")
+    sp = add("member", cmd_member, "labeled membership certificate and its cross summands")
     add_shape(sp)
     sp.add_argument("graph")
-    sp.add_argument("--verify", action="store_true", help="recheck the certificate before exiting")
 
     sp = add("recognize", cmd_recognize, "search all labelings for membership")
     add_shape(sp)
     sp.add_argument("graph")
     sp.add_argument("--force", action="store_true", help="lift the p*q scale guard")
-    sp.add_argument("--no-prefilter", action="store_true", help="skip cheap rejections, search exhaustively")
-    sp.add_argument("--verify", action="store_true", help="recheck the certificate before exiting")
 
     sp = add("t2", cmd_t2, "least summand count of a labeled member")
     add_shape(sp)
@@ -258,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("build-ppt", cmd_build_ppt, "embed any graph as a member on n^2 vertices")
     sp.add_argument("graph")
     sp.add_argument("--edges", action="store_true", help="emit an edge list instead of graph6")
-    sp.add_argument("--verify", action="store_true", help="recheck the certificate before exiting")
 
     sp = add("census", cmd_census, "every labeled member of one shape")
     add_shape(sp)

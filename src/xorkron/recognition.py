@@ -45,22 +45,19 @@ def prefilter(k: Graph, shape: GridShape) -> Witness | None:
     return None
 
 
-def recognize(k: Graph, shape: GridShape, *, use_prefilter: bool = True) -> Certificate:
+def recognize(k: Graph, shape: GridShape) -> Certificate:
     """Decide membership for k under some labeling; exhaustive and exact.
 
     Member certificates carry the lexicographically least valid labeling
     (cells compared as a tuple indexed by vertex), which is the first one
-    valid_labelings yields, and the summands of the relabeled graph. With
-    use_prefilter=False a non-member is only rejected once the search is
-    exhausted.
+    valid_labelings yields, and the summands of the relabeled graph.
     """
     p, q = shape
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, recognition needs {p * q}")
-    if use_prefilter:
-        w = prefilter(k, shape)
-        if w is not None:
-            return Certificate(False, shape, k, witness=w)
+    w = prefilter(k, shape)
+    if w is not None:
+        return Certificate(False, shape, k, witness=w)
     labeling = next(valid_labelings(k, shape), None)
     if labeling is None:
         return Certificate(False, shape, k, witness=Witness(REASON_SEARCH_EXHAUSTED))

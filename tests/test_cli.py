@@ -23,6 +23,7 @@ from xorkron import (
     GridShape,
     graph6_decode,
     graph6_encode,
+    graph_from_quadruples,
     is_spanning_cross_like,
     new_graph,
     recognize,
@@ -37,6 +38,7 @@ SRC = Path(xorkron.__file__).resolve().parent.parent
 
 MATCHING_G6 = graph6_encode(tensor_product(standard_graph("complete", 2), standard_graph("complete", 2)))
 PRODUCT_33_G6 = graph6_encode(tensor_product(standard_graph("complete", 3), standard_graph("complete", 3)))
+P3_PLUS_K1_G6 = graph6_encode(new_graph(4, [(0, 1), (1, 2)]))
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -86,15 +88,10 @@ def test_member_bad_input_exits_2(capsys):
     assert code == 2
 
 
-def test_member_verify_flag(capsys):
-    code, out, _ = run(capsys, "member", "--p", "3", "--q", "3", PRODUCT_33_G6, "--verify")
-    assert code == 0 and json.loads(out)["verdict"] == "member"
-
-
 def test_edgeless_member_certificate(tmp_path, capsys):
     path = tmp_path / "cert.json"
     for cmd in ("member", "recognize"):
-        code, out, err = run(capsys, cmd, "--p", "2", "--q", "2", "E4", "--verify")
+        code, out, err = run(capsys, cmd, "--p", "2", "--q", "2", "E4")
         assert code == 0 and err == ""
         data = json.loads(out)
         assert data["summands"] == [] and data["empty_decomposition"] is True
@@ -103,7 +100,8 @@ def test_edgeless_member_certificate(tmp_path, capsys):
 
 
 def test_recognize_verdicts(capsys):
-    code, out, _ = run(capsys, "recognize", "--p", "2", "--q", "2", "C4", "--no-prefilter")
+    # a path on three of the four vertices passes the prefilter and leaves the verdict to the search
+    code, out, _ = run(capsys, "recognize", "--p", "2", "--q", "2", P3_PLUS_K1_G6)
     assert code == 1
     assert json.loads(out)["witness"]["reason"] == "search-exhausted"
 
@@ -118,12 +116,33 @@ def test_recognize_scale_guard(capsys):
 
 
 def test_decompose(capsys):
-    code, out, _ = run(capsys, "decompose", "--p", "3", "--q", "3", PRODUCT_33_G6)
+    # `member` is the one command that prints the cross summands
+    shape = GridShape(3, 3)
+    code, out, _ = run(capsys, "member", "--p", "3", "--q", "3", PRODUCT_33_G6)
     assert code == 0
-    assert len(json.loads(out)["summands"]) == 9
-    for graph, want in ((PRODUCT_33_G6, 0), ("P9", 1)):
-        results = [run(capsys, cmd, "--p", "3", "--q", "3", graph)[:2] for cmd in ("decompose", "member")]
-        assert results[0] == results[1] and results[0][0] == want
+    summands = [tuple(s) for s in json.loads(out)["summands"]]
+    assert len(summands) == 9
+    assert graph_from_quadruples(shape, summands) == graph6_decode(PRODUCT_33_G6)
+    code, out, _ = run(capsys, "member", "--p", "3", "--q", "3", "P9")
+    assert code == 1 and "summands" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("member", "--p", "2", "--q", "2", "CK", "--verify"), "unrecognized arguments: --verify"),
+        (("recognize", "--p", "2", "--q", "2", "C4", "--verify"), "unrecognized arguments: --verify"),
+        (("build-ppt", "P3", "--verify"), "unrecognized arguments: --verify"),
+        (("recognize", "--p", "2", "--q", "2", "C4", "--no-prefilter"), "unrecognized arguments: --no-prefilter"),
+        (("decompose", "--p", "2", "--q", "2", "CK"), "argument command: invalid choice: 'decompose'"),
+    ],
+    ids=["member-verify", "recognize-verify", "build-ppt-verify", "no-prefilter", "decompose"],
+)
+def test_each_job_has_one_spelling(capsys, argv, bad):
+    # certificates are rechecked by piping them into `verify -`, and `member` has no alias
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ") and f": error: {bad}" in err
 
 
 def test_t2_output_with_and_without_all_labelings(capsys):
@@ -173,13 +192,42 @@ def test_ppt_check_and_dump(capsys):
 
 
 def test_build_ppt(capsys):
-    code, out, err = run(capsys, "build-ppt", "P3", "--verify")
+    code, out, err = run(capsys, "build-ppt", "P3")
     assert code == 0
     first, rest = out.split("\n", 1)
     h = graph6_decode(first)
     assert h.n == 9 and h.edge_count == 4
     assert json.loads(rest)["verdict"] == "member"
     assert "2 K2" in err and "2 K1" in err and "verified" in err
+
+
+def test_build_ppt_past_graph6_prints_nothing(capsys):
+    # K8 embeds on 64 vertices, past graph6, so the certificate cannot be written: no half document
+    for flags in ((), ("--edges",)):
+        code, out, err = run(capsys, "build-ppt", "K8", *flags)
+        assert code == 2 and out == ""
+        assert err == "error: graph6 short form handles n <= 62, got 64\n"
+
+
+def test_printed_certificates_pass_verify(capsys, monkeypatch):
+    # `cmd | xorkron verify -` is the one way to recheck a certificate, and it round-trips the JSON
+    p3 = standard_graph("path", 3)
+    permuted = graph6_encode(tensor_product(p3, p3).relabel([4, 0, 8, 2, 6, 1, 3, 5, 7]))
+    for argv, want_code, want_reason in (
+        (("member", "--p", "3", "--q", "3", PRODUCT_33_G6), 0, None),
+        (("member", "--p", "2", "--q", "2", "P4"), 1, "same-row-or-column-edge"),
+        (("member", "--p", "2", "--q", "2", "E4"), 0, None),
+        (("recognize", "--p", "3", "--q", "3", permuted), 0, None),
+        (("recognize", "--p", "2", "--q", "2", "C4"), 1, "edge-bound-exceeded"),
+        (("recognize", "--p", "2", "--q", "2", P3_PLUS_K1_G6), 1, "search-exhausted"),
+        (("t2", "--p", "2", "--q", "2", "P4"), 1, "same-row-or-column-edge"),
+        (("build-ppt", "P3"), 0, None),
+    ):
+        code, out, _ = run(capsys, *argv)
+        text = out.split("\n", 1)[1] if argv[0] == "build-ppt" else out  # the graph comes first
+        assert code == want_code and json.loads(text).get("witness", {}).get("reason") == want_reason, argv
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "verify", "-") == (0, "certificate ok\n", ""), argv
 
 
 def test_census_listing_and_stats(capsys):
@@ -461,8 +509,9 @@ def test_closed_pipe_ends_the_command_quietly():
 def test_console_script_help():
     proc = run_module("--help")
     assert proc.returncode == 0
-    assert "census" in proc.stdout
-    assert "decompose" in proc.stdout
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    listed = re.findall(r"^ {4}([a-z0-9-]+)(?: |$)", proc.stdout, re.MULTILINE)
+    assert listed == list(commands.choices)
 
 
 def test_readme_command_table_lists_every_registered_name():
@@ -485,19 +534,13 @@ def _registered_options() -> set[str]:
     }
 
 
-def test_readme_mentions_every_registered_option():
+def test_readme_shows_exactly_the_registered_options():
     readme = (SRC.parent / "README.md").read_text()
     options = _registered_options()
     assert options  # the parser registers options at all
-    missing = sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", readme))
-    assert missing == []
-
-
-def test_readme_shows_exactly_the_registered_options():
-    readme = (SRC.parent / "README.md").read_text()
     shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
     # --no-build-isolation belongs to the pip install lines
-    assert shown - {"--help", "--no-build-isolation"} == _registered_options()
+    assert shown - {"--help", "--no-build-isolation"} == options
 
 
 def test_console_script_entry_point_is_declared():

@@ -3,6 +3,7 @@ runtime needs only the standard library, and the modules import one way."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import graphlib
 import subprocess
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import xorkron
+from xorkron.cli import build_parser
 
 SRC = Path(xorkron.__file__).resolve().parent.parent
 
@@ -143,3 +145,21 @@ def test_cli_refusals_are_printed_only_by_main():
         if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and "error:" in sub.value
     ]
     assert holders and set(holders) == {"main"}
+
+
+def test_cli_checks_certificates_only_in_verify():
+    # Commands print certificates; `cmd | xorkron verify -` is the one way to recheck them.
+    tree = ast.parse((SRC / "xorkron" / "cli.py").read_text())
+    callers = [
+        node.name
+        for node in tree.body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "verify_certificate"
+    ]
+    assert callers == ["cmd_verify"]
+
+
+def test_every_command_has_one_name():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = list(commands.choices.values())
+    assert len({id(sp) for sp in parsers}) == len(parsers)

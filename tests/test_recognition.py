@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from itertools import combinations
 
@@ -116,20 +117,32 @@ def test_recognize_odd_path():
 
 
 def test_recognize_cycle_without_prefilter_exhausts():
-    cert = recognize(standard_graph("cycle", 4), GridShape(2, 2), use_prefilter=False)
-    assert not cert.verdict and cert.witness.reason == REASON_SEARCH_EXHAUSTED
-    assert brute_valid_labelings(standard_graph("cycle", 4), 2, 2) == []
+    # the search alone, which recognize runs after a passed prefilter, finds no labeling either
+    c4 = standard_graph("cycle", 4)
+    assert next(valid_labelings(c4, GridShape(2, 2)), None) is None
+    assert brute_valid_labelings(c4, 2, 2) == []
+    cert = recognize(c4, GridShape(2, 2))
+    assert not cert.verdict and cert.witness.reason == REASON_EDGE_BOUND
+
+
+def test_recognize_has_no_options():
+    assert list(inspect.signature(recognize).parameters) == ["k", "shape"]
 
 
 def test_recognize_matches_brute_force_at_2_2():
     pairs = list(combinations(range(4), 2))
+    shape = GridShape(2, 2)
     for mask in range(1 << 6):
         k = new_graph(4, [pairs[t] for t in range(6) if (mask >> t) & 1])
         brute = brute_valid_labelings(k, 2, 2)
-        cert = recognize(k, GridShape(2, 2), use_prefilter=False)
-        assert cert.verdict == bool(brute)
+        first = next(valid_labelings(k, shape), None)
+        cert = recognize(k, shape)
+        assert cert.verdict == bool(brute) == (first is not None)
         if brute:
-            assert cert.labeling.cells == min(brute)
+            assert cert.labeling.cells == first.cells == min(brute)
+        else:
+            w = prefilter(k, shape)
+            assert cert.witness.reason == (REASON_SEARCH_EXHAUSTED if w is None else w.reason)
 
 
 def test_recognize_lex_min_labeling_at_2_3():

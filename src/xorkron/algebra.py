@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, new_graph
+from .graphs import Graph
 
 
 class TensorSummand(NamedTuple):
@@ -50,13 +50,21 @@ def tensor_elementary(p: int, q: int, i: int, i2: int, j: int, j2: int) -> Graph
     """The two-edge graph on the p*q grid with edges {(i,j),(i2,j2)} and {(i,j2),(i2,j)}.
 
     Requires i < i2 and j < j2; equality in either coordinate would make the
-    two grid points collinear and the cross degenerate.
+    two grid points collinear and the cross degenerate. The cross's four row
+    bits are set directly; the result equals the Kronecker product of the
+    one-edge factors new_graph(p, [(i, i2)]) and new_graph(q, [(j, j2)]).
     """
     if not (0 <= i < i2 < p):
         raise ValueError(f"need 0 <= i < i2 < p, got i={i}, i2={i2}, p={p}")
     if not (0 <= j < j2 < q):
         raise ValueError(f"need 0 <= j < j2 < q, got j={j}, j2={j2}, q={q}")
-    return tensor_product(new_graph(p, [(i, i2)]), new_graph(q, [(j, j2)]))
+    u, v, x, y = i * q + j, i2 * q + j2, i * q + j2, i2 * q + j
+    rows = [0] * (p * q)
+    rows[u] = 1 << v
+    rows[v] = 1 << u
+    rows[x] = 1 << y
+    rows[y] = 1 << x
+    return Graph._trusted(p * q, rows)
 
 
 def tensor_2sum(summands: Sequence[TensorSummand]) -> Graph:

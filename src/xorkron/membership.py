@@ -640,7 +640,9 @@ def verify_certificate(cert: Certificate) -> list[str]:
     """Independently recheck a certificate; return a list of problems found.
 
     An empty list means the certificate is internally consistent and its
-    verdict matches a recomputation from the graph it embeds.
+    verdict matches a recomputation from the graph it embeds. A member's
+    graph is relabeled by its labeling unless that labeling equals the
+    identity; the identity skips only the relabel, never a check.
     """
     problems: list[str] = []
     k = cert.graph
@@ -656,7 +658,10 @@ def verify_certificate(cert: Certificate) -> list[str]:
         if cert.labeling.shape != shape:
             problems.append("labeling shape disagrees with certificate shape")
             return problems
-        relabeled = k.relabel(cert.labeling.permutation())
+        if cert.labeling == GridLabeling.identity(shape):
+            relabeled = k
+        else:
+            relabeled = k.relabel(cert.labeling.permutation())
         redo = is_spanning_cross_like(relabeled, shape)
         w = redo.witness
         if w is not None:

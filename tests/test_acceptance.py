@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve checked claims with runtime budgets.
+"""Acceptance gate: thirteen checked claims with runtime budgets.
 
 Each test prints one "criterion N: PASS" line containing the measured
 figures (run pytest with -s to see them on success). Budgets are asserted,
@@ -286,3 +286,20 @@ def test_criterion_12_full_3x4_census_within_budget(capsys):
     listing = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(listing).hexdigest() == "add7dbb41009d57119284e7908cc6f95ffe1126ddc9d749eb7f210fa19eb7421"
     print(f"criterion 12: PASS ({count} members of the 3x4 census in {elapsed:.2f}s, listing pinned)")
+
+
+def test_criterion_13_full_8x8_member_verifies_within_budget():
+    # every one of the 784 crosses is rebuilt and XORed back; best of three runs
+    shape = GridShape(8, 8)
+    k = graph_from_quadruples(shape, pair_quadruples(shape))
+    assert k == _complete_product(8, 8)
+    cert = is_spanning_cross_like(k, shape)
+    assert len(cert.summands) == 784
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        problems = verify_certificate(cert)
+        best = min(best, time.perf_counter() - start)
+        assert problems == []
+    assert best < 0.02
+    print(f"criterion 13: PASS (full 8x8 member, 784 summands, verified in {best * 1000:.1f}ms)")

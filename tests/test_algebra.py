@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -108,12 +109,15 @@ def test_tensor_elementary():
     )
     e = tensor_elementary(2, 3, 0, 1, 0, 2)
     assert sorted(e.edges()) == [(0, 5), (2, 3)]
-    rng = random.Random(41)
-    for _ in range(20):
-        p, q = rng.randrange(2, 6), rng.randrange(2, 6)
-        i, i2 = sorted(rng.sample(range(p), 2))
-        j, j2 = sorted(rng.sample(range(q), 2))
-        assert tensor_elementary(p, q, i, i2, j, j2).edge_count == 2
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+@pytest.mark.parametrize("q", range(2, 6))
+def test_tensor_elementary_is_the_product_of_its_one_edge_factors(p, q):
+    for i, i2 in combinations(range(p), 2):
+        for j, j2 in combinations(range(q), 2):
+            expected = tensor_product(new_graph(p, [(i, i2)]), new_graph(q, [(j, j2)]))
+            assert tensor_elementary(p, q, i, i2, j, j2) == expected
 
 
 def test_tensor_elementary_rejects_bad_indices():

@@ -34,6 +34,7 @@ from xorkron import (
     new_graph,
     pair_matrix,
     pair_quadruples,
+    recognize,
     standard_graph,
     tensor_product,
     two_sum,
@@ -367,6 +368,54 @@ def test_verify_certificate_catches_tampering():
     ):
         padded = Certificate(False, shape, c4, witness=rejection.witness, **fields)
         assert verify_certificate(padded) == [carried]
+
+
+def test_verify_certificate_treats_an_identity_labeling_by_value(monkeypatch):
+    shape = GridShape(3, 4)
+    quads = pair_quadruples(shape)
+    k = graph_from_quadruples(shape, [quads[0], quads[5], quads[11], quads[17]])
+    honest = is_spanning_cross_like(k, shape)
+    assert honest.summands == ((0, 1, 0, 1), (0, 1, 2, 3), (0, 2, 2, 3), (1, 2, 2, 3))
+    u, v = next(k.edges())
+    changed = ((0, 1, 0, 1), (0, 2, 0, 1)) + honest.summands[2:]
+    tampered = {
+        "honest": ({}, []),
+        "dropped diagonal": (
+            {"graph": two_sum(k, new_graph(k.n, [(u, v)]))},
+            ["labeling does not make the graph cross-like: missing-cross-partner at edge (1, 4)"],
+        ),
+        "changed summand": (
+            {"summands": changed},
+            ["summand list does not match the relabeled graph", "summands do not XOR back to the relabeled graph"],
+        ),
+        "false empty_decomposition": (
+            {"empty_decomposition": True},
+            ["empty_decomposition flag disagrees with the edge count"],
+        ),
+    }
+    fields = {"graph": k, "summands": honest.summands, "empty_decomposition": False}
+    cells = tuple(divmod(t, shape.q) for t in range(shape.order))
+    labelings = (
+        GridLabeling.identity(shape),
+        GridLabeling(shape, cells),
+        Certificate.from_json(honest.to_json()).labeling,
+    )
+    assert labelings[1] is not labelings[0] and labelings[2] is not labelings[0]
+    # an identity labeling, however it was built, checks the graph as given
+    monkeypatch.setattr(Graph, "relabel", lambda *args: pytest.fail("identity labeling was relabeled"))
+    for labeling in labelings:
+        for change, problems in tampered.values():
+            cert = Certificate(True, shape, labeling=labeling, **{**fields, **change})
+            assert verify_certificate(cert) == problems
+    monkeypatch.undo()
+
+    rng = random.Random(53)
+    perm = list(range(shape.order))
+    rng.shuffle(perm)
+    moved = recognize(k.relabel(perm), shape)
+    assert moved.verdict and moved.labeling != GridLabeling.identity(shape)
+    assert verify_certificate(moved) == []
+    assert verify_certificate(Certificate.from_json(moved.to_json())) == []
 
 
 CROSS = _complete_product(2, 2)  # edges (0, 3) and (1, 2)

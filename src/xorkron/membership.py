@@ -22,7 +22,8 @@ renumbering orbit has one least, canonical member: rows and columns numbered
 in order of first use along v = 0, 1, .... valid_labelings places vertices in
 that order, least cell first, and only on canonical positions, so its leaves
 come out canonical and in increasing order, and the first one is the least
-valid labeling.
+valid labeling. Its completion check places the unplaced vertices in any
+order, but prunes only branches that hold no leaf, so the sequence stays.
 """
 
 from __future__ import annotations
@@ -457,7 +458,7 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
 
     Depth-first search over vertices 0, 1, ..., n-1. Vertex v tries cells in
     increasing order, but only rows and columns already in use or the next
-    unused one, which yields exactly the canonical labelings. Two prunings
+    unused one, which yields exactly the canonical labelings. Three prunings
     keep the search small:
 
     - Propagation. Each empty cell keeps a mask of the vertices that may
@@ -468,7 +469,13 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       narrowed to match. With one placed, the two empty cells are narrowed
       as a pair: to vertices with a neighbour in the other cell when they
       must be adjacent, and each to one side of a neighbourhood once the
-      other cell's candidates all fall on one side. A branch dies as soon as
+      other cell's candidates all fall on one side. Each empty cell also
+      counts the cells its vertex must be adjacent to, one per rectangle
+      whose other diagonal is a placed edge. Those cells hold distinct
+      vertices, so only vertices of at least that degree stay. Each cross
+      adds two to the degree sum of every row and column it meets, so every
+      line's sum is even, and the last empty cell of v's row or column keeps
+      only vertices of the parity that makes it so. A branch dies as soon as
       an empty cell has no candidate left, an unplaced vertex fits no empty
       cell, or the empty cells of v's row or column cannot take an
       independent set from their candidates.
@@ -481,6 +488,39 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       with L before u and puts u at w's cell, so if cell(w) < cell(u) it is
       smaller than L, and so is its canonical form, which lies in the same
       orbit. Hence cell(u) < cell(w) in L.
+    - Completion check. Before the search descends from a placement, a
+      plain depth-first search over the unplaced vertices confirms that
+      some completion exists: a valid labeling that extends the placement
+      and keeps every candidate mask. Each leaf below the placement is one,
+      so a placement without a completion roots a subtree with no leaf, and
+      skipping it leaves the yielded sequence unchanged. Each step places
+      the unplaced vertex with the most placed neighbours (then the highest
+      degree), taking only the least unplaced vertex of each twin class and
+      only cells in rows and columns already used or the next unused one.
+      A step dies on propagation, or when the empty cells cannot take
+      distinct vertices from their candidates. No restriction loses a
+      completion:
+      - propagation, the twin drop aside, removes only candidates no
+        completion uses, and cells holding distinct vertices need such a
+        matching;
+      - the rows not yet used were narrowed alike, so they have equal
+        candidate masks cell by cell, and swapping two of them maps
+        completions to completions; the same holds for columns;
+      - the unplaced members of a twin class have equal adjacency and
+        equal candidate masks, so swapping two of them also maps
+        completions to completions. Sort them by cell: the least one takes
+        the least cell of the class, as the twin drop assumes. If that cell
+        lies in an unused row after the next one, swap the two rows: the
+        next unused row holds no member of the class, as its cells all
+        come before the least one, and the rest stay after it. Columns go
+        alike.
+      A completion found is renumbered by first use along v = 0, 1, ...,
+      which leaves the placed prefix as it is, and handed down as a
+      witness: a child that places v on the witness's cell skips the
+      check. The check also starts only once more than n entered subtrees
+      have come back without a leaf, so a search whose branches hold
+      leaves, such as one that never backtracks, never pays for it. Both
+      rules only skip checks, so they prune nothing.
     """
     p, q = shape
     n = k.n
@@ -489,6 +529,12 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
     adj = k.rows
     full = (1 << n) - 1
     lines, rectangles = _grid_geometry(p, q)
+    degree = [row.bit_count() for row in adj]
+    odd_degree = sum(1 << v for v in range(n) if degree[v] & 1)
+    deg_at_least = [0] * (n + 1)  # mask of the vertices of degree at least d
+    for v in range(n):
+        for d in range(degree[v] + 1):
+            deg_at_least[d] |= 1 << v
     later_twins = [0] * n  # mask of the later vertices with v's adjacency row
     with_row: dict[int, int] = {}
     for v in reversed(range(n)):
@@ -509,8 +555,21 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
         elif not c1 & m1:
             out[s2] &= ~m2
 
+    def narrow(out: list[int], s: int, mask: int, joined: int) -> None:
+        """Keep in empty cell s the vertices in mask if joined, else those outside it.
+
+        A joined cell's vertex has one more neighbour to find, so its degree bound grows.
+        """
+        if joined:
+            out[n + s] += 1
+            out[s] &= mask & deg_at_least[out[n + s]]
+        else:
+            out[s] &= ~mask
+
     def adjacent_pair(out: list[int], live: int, s1: int, s2: int) -> None:
         """Keep in each of two empty cells the vertices with a neighbour in the other."""
+        narrow(out, s1, full, 1)
+        narrow(out, s2, full, 1)
         for s, other in ((s1, s2), (s2, s1)):
             mates = out[other] & live
             keep = 0
@@ -531,12 +590,15 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 return True
         return size <= 0
 
-    def propagate(v: int, t: int, cand: list[int]) -> list[int] | None:
-        """Candidate masks after placing v at cell t, or None on a dead end."""
+    def propagate(v: int, t: int, cand: list[int], live: int) -> list[int] | None:
+        """Cell state after placing v at cell t, or None on a dead end.
+
+        cand[s] is the candidate mask of cell s and cand[n + s] the number of
+        cells its vertex must be adjacent to; live masks the unplaced vertices.
+        """
         out = cand[:]
         out[t] = 0
         nb = adj[v]
-        live = full & ~((2 << v) - 1)  # the unplaced vertices
         if later_twins[v]:
             for s in range(t):
                 out[s] &= ~later_twins[v]
@@ -545,16 +607,17 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 out[s] &= ~nb
         # Each rectangle through t: v ~ (vertex at d) iff (vertex at a) ~ (vertex
         # at b). With a, b and d all placed, v in cand[t] already closes it:
-        # cand[t] was narrowed when the last of them was placed.
+        # cand[t] was narrowed when the last of them was placed. A demand on an
+        # empty cell is counted when the edge that makes it is placed.
         for d, a, b in rectangles[t]:
             x, ya, yb = holder[d], holder[a], holder[b]
             if x >= 0:
                 joined = (nb >> x) & 1
                 if ya >= 0:
                     if yb < 0:
-                        out[b] &= adj[ya] if joined else ~adj[ya]
+                        narrow(out, b, adj[ya], joined)
                 elif yb >= 0:
-                    out[a] &= adj[yb] if joined else ~adj[yb]
+                    narrow(out, a, adj[yb], joined)
                 elif joined:
                     adjacent_pair(out, live, a, b)
             elif ya >= 0:
@@ -564,6 +627,24 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                     tie(out, live, d, nb, b, adj[ya])
             elif yb >= 0:
                 tie(out, live, d, nb, a, adj[yb])
+        # The degree sums of v's row and column are even: the last empty cell of
+        # either keeps the parity that makes them so.
+        spans = []
+        for line in lines[t]:
+            free = need = 0
+            odd = degree[v] & 1
+            for s in line:
+                if s == t:
+                    continue
+                if holder[s] < 0:
+                    free |= out[s]
+                    need += 1
+                    last = s
+                else:
+                    odd ^= degree[holder[s]] & 1
+            if need == 1:
+                out[last] &= odd_degree if odd else ~odd_degree
+            spans.append((free, need))
         cover = 0
         for s in range(n):
             if holder[s] < 0 and s != t:
@@ -574,18 +655,81 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
         if cover != live:
             return None
         # The empty cells of v's row and of v's column take independent sets.
-        for line in lines[t]:
-            free = need = 0
-            for s in line:
-                if holder[s] < 0 and s != t:
-                    free |= out[s]
-                    need += 1
+        for free, need in spans:
             if need > 1 and not has_independent(free & live, need):
                 return None
         return out
 
-    def place(v: int, cand: list[int], taken: int, rows_used: int, cols_used: int) -> Iterator[GridLabeling]:
+    def augment(s: int, cand: list[int], live: int, matched: dict[int, int], seen: list[int]) -> bool:
+        """Match empty cell s to a live candidate, moving matched ones along (Kuhn's augmenting path).
+
+        matched maps each matched vertex to its cell; seen[0] masks the vertices tried so far.
+        """
+        m = cand[s] & live & ~seen[0]
+        seen[0] |= m
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            if u not in matched or augment(matched[u], cand, live, matched, seen):
+                matched[u] = s
+                return True
+        return False
+
+    def complete(cand: list[int], live: int, taken: int, rows_used: int, cols_used: int) -> list[int] | None:
+        """The completion check: the cell of each vertex in some completion, or None.
+
+        The cells come renumbered by first use along v = 0, 1, ..., which
+        leaves the canonical placed prefix as it is.
+        """
+        if not live:
+            cell_of = sorted(range(n), key=holder.__getitem__)
+            row_no = {r: i for i, r in enumerate(dict.fromkeys(t // q for t in cell_of))}
+            col_no = {c: j for j, c in enumerate(dict.fromkeys(t % q for t in cell_of))}
+            return [row_no[t // q] * q + col_no[t % q] for t in cell_of]
+        placed = full & ~live
+        x = best = -1
+        m = live
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            twins = with_row[adj[u]] & live
+            if twins & -twins == low:  # u is the least unplaced vertex of its twin class
+                key = (adj[u] & placed).bit_count() * n + degree[u]
+                if key > best:
+                    x, best = u, key
+        bit = 1 << x
+        rest = live ^ bit
+        room = later_twins[x].bit_count()
+        for r in range(min(rows_used + 1, p)):
+            for c in range(min(cols_used + 1, q)):
+                t = r * q + c
+                if not cand[t] & bit:
+                    continue
+                if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
+                    return None
+                after = propagate(x, t, cand, rest)
+                if after is None:
+                    continue
+                holder[t] = x
+                matched: dict[int, int] = {}
+                if all(augment(s, after, rest, matched, [0]) for s in range(n) if holder[s] < 0):
+                    found = complete(after, rest, taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
+                    if found is not None:
+                        holder[t] = -1
+                        return found
+                holder[t] = -1
+        return None
+
+    leaves = dead = 0  # leaves yielded, and entered subtrees that held none
+
+    def place(
+        v: int, cand: list[int], taken: int, rows_used: int, cols_used: int, witness: list[int] | None
+    ) -> Iterator[GridLabeling]:
+        nonlocal leaves, dead
         if v == n:
+            leaves += 1
             cells = [(0, 0)] * n
             for t, u in enumerate(holder):
                 cells[u] = (t // q, t % q)
@@ -593,6 +737,7 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
             return
         bit = 1 << v
         room = later_twins[v].bit_count()
+        live = full & ~((2 << v) - 1)  # the vertices after v
         for r in range(min(rows_used + 1, p)):
             for c in range(min(cols_used + 1, q)):
                 t = r * q + c
@@ -601,14 +746,23 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 # v's later twins need empty cells after t, and fewer are left as t grows.
                 if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
                     return
-                after = propagate(v, t, cand)
+                after = propagate(v, t, cand, live)
                 if after is None:
                     continue
                 holder[t] = v
-                yield from place(v + 1, after, taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
+                below = (taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
+                found = witness if witness is not None and witness[v] == t else None
+                if found is None and dead > n:
+                    found = complete(after, live, *below)
+                    if found is None:
+                        holder[t] = -1
+                        continue
+                before = leaves
+                yield from place(v + 1, after, *below, found)
+                dead += leaves == before
                 holder[t] = -1
 
-    yield from place(0, [full] * n, 0, 0, 0)
+    yield from place(0, [full] * n + [0] * n, 0, 0, 0, None)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Acceptance gate: thirteen checked claims with runtime budgets.
+"""Acceptance gate: fourteen checked claims with runtime budgets.
 
 Each test prints one "criterion N: PASS" line containing the measured
 figures (run pytest with -s to see them on success). Budgets are asserted,
@@ -40,7 +40,7 @@ from xorkron import (
     verify_components,
 )
 from xorkron.cli import main
-from xorkron.membership import REASON_ODD_EDGES
+from xorkron.membership import REASON_ODD_EDGES, REASON_SEARCH_EXHAUSTED
 
 from .helpers import brute_valid_labelings, random_graph, random_nontrivial, t2_bruteforce_oracle
 
@@ -303,3 +303,35 @@ def test_criterion_13_full_8x8_member_verifies_within_budget():
         assert problems == []
     assert best < 0.02
     print(f"criterion 13: PASS (full 8x8 member, 784 summands, verified in {best * 1000:.1f}ms)")
+
+
+def test_criterion_14_hard_recognitions_finish_within_budget():
+    # a 4x4 non-member that passes the prefilter, then permuted sparse 5x5 members
+    shape = GridShape(4, 4)
+    k = graph6_decode("O?????@???Co_??C@@_C?")
+    start = time.perf_counter()
+    cert = recognize(k, shape)
+    problems = verify_certificate(cert)
+    refuted = time.perf_counter() - start
+    assert not cert.verdict and cert.witness.reason == REASON_SEARCH_EXHAUSTED
+    assert problems == []
+    assert refuted < 1.0
+
+    shape = GridShape(5, 5)
+    worst = 0.0
+    for seed in range(1, 7):
+        rng = random.Random(seed)
+        quads = rng.sample(pair_quadruples(shape), 5)
+        perm = list(range(25))
+        rng.shuffle(perm)
+        g = graph_from_quadruples(shape, quads).relabel(perm)
+        start = time.perf_counter()
+        cert = recognize(g, shape)
+        problems = verify_certificate(cert)
+        worst = max(worst, time.perf_counter() - start)
+        assert cert.verdict and problems == []
+    assert worst < 0.5
+    print(
+        f"criterion 14: PASS (4x4 non-member refuted and verified in {refuted * 1000:.1f}ms, "
+        f"six permuted 5x5 five-cross members worst {worst * 1000:.1f}ms)"
+    )

@@ -6,11 +6,13 @@ from __future__ import annotations
 import argparse
 import ast
 import graphlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import xorkron
+from xorkron import membership
 from xorkron.cli import build_parser
 
 SRC = Path(xorkron.__file__).resolve().parent.parent
@@ -163,3 +165,11 @@ def test_every_command_has_one_name():
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     parsers = list(commands.choices.values())
     assert len({id(sp) for sp in parsers}) == len(parsers)
+
+
+def test_the_labeling_search_has_no_knob():
+    # The completion check prunes inside valid_labelings: no parameter, export or module-level name.
+    assert list(inspect.signature(xorkron.valid_labelings).parameters) == ["k", "shape"]
+    assert list(inspect.signature(xorkron.recognize).parameters) == ["k", "shape"]
+    assert len(xorkron.__all__) == 36
+    assert [name for name in vars(membership) if "complet" in name.lower()] == []

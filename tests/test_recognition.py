@@ -252,15 +252,32 @@ def test_recognize_returns_the_oracle_labeling_on_sparse_3_4_members():
         assert _recognized_cells(g, shape) == naive_least_labeling(g, 3, 4)
 
 
+def _moved_edge(rng: random.Random, k):
+    """k with one random edge moved to a random non-edge."""
+    edges = set(k.edges())
+    absent = [e for e in combinations(range(k.n), 2) if e not in edges]
+    edges.remove(rng.choice(sorted(edges)))
+    edges.add(rng.choice(absent))
+    return new_graph(k.n, sorted(edges))
+
+
 def test_recognize_returns_the_oracle_labeling_on_3_4_near_members():
     rng = random.Random(113)
     shape = GridShape(3, 4)
     quads = list(pair_quadruples(shape))
     for size in (2, 3, 4, 6, 9, 12, 14, 16):
         k = graph_from_quadruples(shape, rng.sample(quads, size))
-        edges = set(k.edges())
-        absent = [e for e in combinations(range(12), 2) if e not in edges]
-        edges.remove(rng.choice(sorted(edges)))
-        edges.add(rng.choice(absent))
-        g = _permuted(rng, new_graph(12, sorted(edges)))
+        g = _permuted(rng, _moved_edge(rng, k))
         assert _recognized_cells(g, shape) == naive_least_labeling(g, 3, 4)
+
+
+def test_recognize_returns_the_oracle_labeling_on_4_4_members_and_near_members():
+    # from 12 of the 36 crosses up: the naive oracle can take minutes on sparser 4x4 inputs
+    rng = random.Random(131)
+    shape = GridShape(4, 4)
+    quads = list(pair_quadruples(shape))
+    for size in (12, 16, 20, 24, 28, 32, 36):
+        k = graph_from_quadruples(shape, rng.sample(quads, size))
+        for g in (k, _moved_edge(rng, k)):
+            g = _permuted(rng, g)
+            assert _recognized_cells(g, shape) == naive_least_labeling(g, 4, 4)

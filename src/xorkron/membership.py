@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 from .algebra import tensor_elementary, two_sum
@@ -159,28 +159,41 @@ class Certificate:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """json.dumps(self.to_dict(), indent=2); the cells and summands, int tuples, fill a template."""
+        fields = []
+        for key, value in self.to_dict().items():
+            if key in ("labeling", "summands") and value:
+                item = "    [\n" + ",\n".join(["      {}"] * len(value[0])) + "\n    ]"
+                text = "[\n" + ",\n".join([item] * len(value)).format(*chain.from_iterable(value)) + "\n  ]"
+            else:
+                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+            fields.append(f'  "{key}": {text}')
+        return "{\n" + ",\n".join(fields) + "\n}"
 
     @staticmethod
     def from_dict(data: dict) -> Certificate:
-        """Rebuild a certificate; raises ValueError on a mistyped or missized field."""
-        verdict = data["verdict"]
+        """Rebuild a certificate; raises ValueError on a missing, mistyped or missized field."""
+        if not isinstance(data, dict):
+            raise ValueError("certificate must be a JSON object")
+        verdict = _field(data, "verdict")
         if verdict not in ("member", "non-member"):
             raise ValueError(f"verdict must be 'member' or 'non-member', got {verdict!r}")
-        shape = GridShape(*_int_tuple(data["shape"], 2, "shape"))
-        if not isinstance(data["graph6"], str):
+        shape = GridShape(*_int_tuple(_field(data, "shape"), 2, "shape"))
+        if not isinstance(_field(data, "graph6"), str):
             raise ValueError("graph6 must be a string")
         graph = graph6_decode(data["graph6"])
         labeling = None
         if "labeling" in data:
-            cells = _list_of(data["labeling"], "labeling")
-            labeling = GridLabeling(shape, tuple(_int_tuple(c, 2, "labeling cell") for c in cells))
+            items = _list_of(data["labeling"], "labeling")
+            cells = _tuples_in(items, _grid_sets(shape)[0]) or tuple(_int_tuple(c, 2, "labeling cell") for c in items)
+            labeling = GridLabeling(shape, cells)
         summands = None
         if "summands" in data:
-            summands = tuple(_int_tuple(s, 4, "summand") for s in _list_of(data["summands"], "summands"))
-            for s in summands:
-                problem = _summand_problem(s, shape)
-                if problem:
+            items = _list_of(data["summands"], "summands")
+            summands = _tuples_in(items, _grid_sets(shape)[1])
+            if summands is None:  # name the first summand that is mistyped or no cross of the grid
+                summands = tuple(_int_tuple(s, 4, "summand") for s in items)
+                for problem in filter(None, (_summand_problem(s, shape) for s in summands)):
                     raise ValueError(problem)
         witness = None
         if "witness" in data:
@@ -188,7 +201,7 @@ class Certificate:
             if not isinstance(w, dict):
                 raise ValueError("witness must be an object")
             edge = _int_tuple(w["edge"], 2, "witness edge") if "edge" in w else None
-            witness = Witness(w["reason"], edge)
+            witness = Witness(_field(w, "reason", "witness"), edge)
         empty = data.get("empty_decomposition", False)
         if not isinstance(empty, bool):
             raise ValueError(f"empty_decomposition must be true or false, got {empty!r}")
@@ -205,6 +218,27 @@ class Certificate:
     @staticmethod
     def from_json(text: str) -> Certificate:
         return Certificate.from_dict(json.loads(text))
+
+
+def _field(data: dict, key: str, where: str = "certificate") -> object:
+    if key not in data:
+        raise ValueError(f"{where} has no {key!r} field")
+    return data[key]
+
+
+@lru_cache(maxsize=None)
+def _grid_sets(shape: GridShape) -> tuple[frozenset, frozenset]:
+    """The cells (i, j) and the crosses (i, i2, j, j2) of the grid."""
+    return frozenset(divmod(t, shape.q) for t in range(shape.order)), frozenset(pair_quadruples(shape))
+
+
+def _tuples_in(items: list, valid: frozenset) -> tuple | None:
+    """items as tuples when each is a list of ints whose tuple lies in valid, else None; one pass per test."""
+    if {list} >= set(map(type, items)) and {int} >= set(map(type, chain.from_iterable(items))):
+        out = tuple(map(tuple, items))
+        if valid.issuperset(out):
+            return out
+    return None
 
 
 def _list_of(value: object, what: str) -> list:
@@ -826,10 +860,11 @@ def verify_certificate(cert: Certificate) -> list[str]:
         if cert.summands is None:
             problems.append("member certificate is missing its summand list")
         else:
+            outside = []  # the summands of redo are all crosses of the grid
             if tuple(cert.summands) != redo.summands:
                 problems.append("summand list does not match the relabeled graph")
-            outside = [pb for pb in (_summand_problem(s, shape) for s in cert.summands) if pb]
-            problems.extend(outside)
+                outside = [pb for pb in (_summand_problem(s, shape) for s in cert.summands) if pb]
+                problems.extend(outside)
             if not outside and graph_from_quadruples(shape, cert.summands) != relabeled:
                 problems.append("summands do not XOR back to the relabeled graph")
         if cert.empty_decomposition != redo.empty_decomposition:

@@ -432,6 +432,22 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[]", "certificate must be a JSON object"),
+        ('"x"', "certificate must be a JSON object"),
+        ('{"shape": [2, 2], "graph6": "C?"}', "certificate has no 'verdict' field"),
+        ('{"verdict": "member", "graph6": "C?"}', "certificate has no 'shape' field"),
+        ('{"verdict": "member", "shape": [2, 2]}', "certificate has no 'graph6' field"),
+        ('{"verdict": "non-member", "shape": [2, 2], "graph6": "C?", "witness": {}}', "witness has no 'reason' field"),
+    ],
+)
+def test_verify_names_a_missing_field(capsys, monkeypatch, text, problem):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "verify", "-") == (2, "", f"error: unreadable certificate: {problem}\n")
+
+
 def test_deeply_nested_certificate_is_unreadable(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000 + "]" * 100000))
     code, out, err = run(capsys, "verify", "-")

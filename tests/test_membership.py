@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,8 @@ from xorkron import (
     census,
     edge_bound_check,
     elementary_decomposition,
+    graph6_decode,
+    graph6_encode,
     graph_from_quadruples,
     is_spanning_cross_like,
     new_graph,
@@ -40,6 +43,7 @@ from xorkron import (
     two_sum,
     verify_certificate,
 )
+from xorkron import membership
 from xorkron.membership import (
     REASON_EDGE_BOUND,
     REASON_MISSING_PARTNER,
@@ -304,6 +308,110 @@ def test_empty_decomposition_flag():
     data = json.loads(cert.to_json())
     assert data["summands"] == [] and data["empty_decomposition"] is True
     assert Certificate.from_json(cert.to_json()) == cert
+
+
+def _writer_corpus() -> list[Certificate]:
+    """Certificates of every kind to_json writes, from 4 to 62 vertices."""
+    shapes = [GridShape(2, 2), GridShape(2, 3), GridShape(3, 3)]
+    certs = [is_spanning_cross_like(k, shape) for shape in shapes for k in census(shape)]
+    shape = GridShape(2, 2)
+    certs += [
+        is_spanning_cross_like(standard_graph("edgeless", 4), shape),
+        is_spanning_cross_like(ONE_DIAGONAL, shape),  # witness with an edge
+        recognize(new_graph(4, [(0, 3)]), shape),  # odd-edge-count: witness without one
+        recognize(K4, shape),
+        is_spanning_cross_like(graph6_decode("C\\"), shape),
+    ]
+    rng = random.Random(61)
+    for p, q in ((2, 3), (3, 3), (3, 4)):
+        k = tensor_product(random_graph(rng, p, 0.7), random_graph(rng, q, 0.7))
+        perm = list(range(p * q))
+        rng.shuffle(perm)
+        certs.append(recognize(k.relabel(perm), GridShape(p, q)))
+    certs.append(is_spanning_cross_like(_complete_product(2, 31), GridShape(2, 31)))
+    return certs
+
+
+def test_certificate_writer_matches_the_indenting_json_encoder():
+    certs = _writer_corpus()
+    for cert in certs:
+        assert cert.to_json() == json.dumps(cert.to_dict(), indent=2)
+    labelings = [c.labeling for c in certs if c.labeling is not None]
+    assert sum(lab != GridLabeling.identity(lab.shape) for lab in labelings) >= 3
+    assert {c.witness.edge is None for c in certs if c.witness} == {True, False}
+    assert any("\\" in graph6_encode(c.graph) for c in certs) and certs[-1].graph.n == GRAPH6_MAX_N
+    # past 62 vertices graph6 fails, and so does the writer, with its message
+    big = is_spanning_cross_like(standard_graph("edgeless", 63), GridShape(7, 9))
+    with pytest.raises(ValueError, match=r"^graph6 short form handles n <= 62, got 63$"):
+        big.to_json()
+
+
+def test_certificate_reader_inverts_the_writer():
+    for cert in _writer_corpus():
+        assert Certificate.from_json(cert.to_json()) == cert
+
+
+FIVE_CELLS = [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1]]  # a 2 x 3 labeling without its last cell
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("summands", [[0, 1, 0, 1], [0, 1, 0, True]], "summand must be 4 integers, got [0, 1, 0, True]"),
+        ("summands", [[0, 1, 0, 1], [0, 1.0, 0, 2]], "summand must be 4 integers, got [0, 1.0, 0, 2]"),
+        ("summands", [[0, 1, 0, 1], [0, 1, 0]], "summand must be 4 integers, got [0, 1, 0]"),
+        ("summands", [[0, 1, 0, 1], "0101"], "summand must be a list"),
+        (
+            "summands",
+            [[0, 1, 0, 1], [0, 1, 0, 3], [1, 0, 0, 1]],
+            "summand [0, 1, 0, 3] is not a cross of the 2 x 3 grid",
+        ),
+        ("summands", [[0, 1, 0, 3], [0, 1, 0, True]], "summand must be 4 integers, got [0, 1, 0, True]"),
+        ("labeling", FIVE_CELLS + [[1, True]], "labeling cell must be 2 integers, got [1, True]"),
+        ("labeling", [[0, 1.0]] + FIVE_CELLS[1:] + [[1, 2]], "labeling cell must be 2 integers, got [0, 1.0]"),
+        ("labeling", FIVE_CELLS + [[1, 2, 0]], "labeling cell must be 2 integers, got [1, 2, 0]"),
+        ("labeling", FIVE_CELLS[:2] + ["02"] + FIVE_CELLS[3:] + [[1, 2]], "labeling cell must be a list"),
+        ("labeling", FIVE_CELLS[:4] + [[2, 1], [1, 5]], "vertex 4 mapped to cell (2, 1) outside the grid"),
+        ("labeling", FIVE_CELLS + [[1, 1]], "labeling repeats a grid cell"),
+    ],
+)
+def test_certificate_reader_names_the_first_bad_entry(field, value, message):
+    data = json.loads(is_spanning_cross_like(_complete_product(2, 3), GridShape(2, 3)).to_json())
+    with pytest.raises(ValueError) as err:
+        Certificate.from_dict({**data, field: value})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([], "certificate must be a JSON object"),
+        ("x", "certificate must be a JSON object"),
+        ({"shape": [2, 2], "graph6": "C?"}, "certificate has no 'verdict' field"),
+        ({"verdict": "member", "graph6": "C?"}, "certificate has no 'shape' field"),
+        ({"verdict": "member", "shape": [2, 2]}, "certificate has no 'graph6' field"),
+        (
+            {"verdict": "non-member", "shape": [2, 2], "graph6": "C?", "witness": {"edge": [0, 1]}},
+            "witness has no 'reason' field",
+        ),
+    ],
+)
+def test_certificate_reader_names_a_missing_field(data, message):
+    with pytest.raises(ValueError) as err:
+        Certificate.from_dict(data)
+    assert str(err.value) == message
+
+
+def test_verify_certificate_checks_summands_one_by_one_only_when_they_differ(monkeypatch):
+    # matching summands are the relabeled graph's own, so each is a cross of the grid
+    shape = GridShape(3, 3)
+    honest = is_spanning_cross_like(_complete_product(3, 3), shape)
+    calls = []
+    monkeypatch.setattr(membership, "_summand_problem", lambda s, sh: calls.append(s))
+    assert verify_certificate(honest) == [] and calls == []
+    moved = replace(honest, summands=honest.summands[1:] + ((0, 1, 0, 1),))
+    assert verify_certificate(moved) == ["summand list does not match the relabeled graph"]
+    assert len(calls) == len(honest.summands)
 
 
 def test_verify_certificate_accepts_honest_certs():

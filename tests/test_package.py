@@ -161,6 +161,17 @@ def test_cli_checks_certificates_only_in_verify():
     assert callers == ["cmd_verify"]
 
 
+def test_certificates_have_one_writer():
+    # Every printed certificate comes from Certificate.to_json, the one caller of to_dict.
+    callers = []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = [sub for sub in ast.walk(func) if isinstance(sub, ast.Call)]
+                callers += [(path.stem, func.name) for c in calls if ast.unparse(c.func).endswith(".to_dict")]
+    assert callers == [("membership", "to_json")]
+
+
 def test_every_command_has_one_name():
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     parsers = list(commands.choices.values())

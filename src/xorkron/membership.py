@@ -162,7 +162,7 @@ class Certificate:
         """json.dumps(self.to_dict(), indent=2); the cells and summands, int tuples, fill a template."""
         fields = []
         for key, value in self.to_dict().items():
-            if key in ("labeling", "summands") and value:
+            if key in ("labeling", "summands") and value and _int_lists(value, len(value[0])):
                 item = "    [\n" + ",\n".join(["      {}"] * len(value[0])) + "\n    ]"
                 text = "[\n" + ",\n".join([item] * len(value)).format(*chain.from_iterable(value)) + "\n  ]"
             else:
@@ -184,15 +184,12 @@ class Certificate:
         graph = graph6_decode(data["graph6"])
         labeling = None
         if "labeling" in data:
-            items = _list_of(data["labeling"], "labeling")
-            cells = _tuples_in(items, _grid_sets(shape)[0]) or tuple(_int_tuple(c, 2, "labeling cell") for c in items)
-            labeling = GridLabeling(shape, cells)
+            labeling = GridLabeling(shape, _int_tuples(_list_of(data["labeling"], "labeling"), 2, "labeling cell"))
         summands = None
         if "summands" in data:
-            items = _list_of(data["summands"], "summands")
-            summands = _tuples_in(items, _grid_sets(shape)[1])
-            if summands is None:  # name the first summand that is mistyped or no cross of the grid
-                summands = tuple(_int_tuple(s, 4, "summand") for s in items)
+            summands = _int_tuples(_list_of(data["summands"], "summands"), 4, "summand")
+            # the cross sets are cached, so only for shapes that fit a graph, which graph6 caps at 62 vertices
+            if shape.order != graph.n or not _grid_crosses(shape).issuperset(summands):
                 for problem in filter(None, (_summand_problem(s, shape) for s in summands)):
                     raise ValueError(problem)
         witness = None
@@ -227,18 +224,21 @@ def _field(data: dict, key: str, where: str = "certificate") -> object:
 
 
 @lru_cache(maxsize=None)
-def _grid_sets(shape: GridShape) -> tuple[frozenset, frozenset]:
-    """The cells (i, j) and the crosses (i, i2, j, j2) of the grid."""
-    return frozenset(divmod(t, shape.q) for t in range(shape.order)), frozenset(pair_quadruples(shape))
+def _grid_crosses(shape: GridShape) -> frozenset:
+    return frozenset(pair_quadruples(shape))
 
 
-def _tuples_in(items: list, valid: frozenset) -> tuple | None:
-    """items as tuples when each is a list of ints whose tuple lies in valid, else None; one pass per test."""
-    if {list} >= set(map(type, items)) and {int} >= set(map(type, chain.from_iterable(items))):
-        out = tuple(map(tuple, items))
-        if valid.issuperset(out):
-            return out
-    return None
+def _int_lists(items: list, length: int) -> bool:
+    """Whether each item is a list of exactly length ints (JSON booleans excluded); one pass per test."""
+    lists = {list} >= set(map(type, items)) and {length} >= set(map(len, items))
+    return lists and {int} >= set(map(type, chain.from_iterable(items)))
+
+
+def _int_tuples(items: list, length: int, what: str) -> tuple[tuple[int, ...], ...]:
+    """items as tuples of length ints, tested set-wide; on failure _int_tuple names the first bad one."""
+    if _int_lists(items, length):
+        return tuple(map(tuple, items))
+    return tuple(_int_tuple(x, length, what) for x in items)
 
 
 def _list_of(value: object, what: str) -> list:

@@ -448,6 +448,14 @@ def test_verify_names_a_missing_field(capsys, monkeypatch, text, problem):
     assert run(capsys, "verify", "-") == (2, "", f"error: unreadable certificate: {problem}\n")
 
 
+def test_verify_reads_a_huge_shape_at_once(capsys, monkeypatch):
+    # the shape is read before anything ties it to the graph, so nothing may be built from it
+    text = '{"verdict": "member", "shape": [100000, 100000], "graph6": "C?", "summands": []}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    problem = "graph has 4 vertices but shape (100000, 100000) needs 10000000000"
+    assert run(capsys, "verify", "-") == (1, "", f"verify: {problem}\n")
+
+
 def test_deeply_nested_certificate_is_unreadable(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000 + "]" * 100000))
     code, out, err = run(capsys, "verify", "-")

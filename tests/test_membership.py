@@ -402,6 +402,29 @@ def test_certificate_reader_names_a_missing_field(data, message):
     assert str(err.value) == message
 
 
+def test_certificate_writer_falls_back_on_lists_it_cannot_template():
+    # Certificate does not check its summands, so the writer must not assume one length or int entries
+    base = is_spanning_cross_like(_complete_product(2, 2), GridShape(2, 2))
+    for summands in (((0, 1), (0, 1, 0, 1)), ((0, 1, 0, 1), (0, 1)), ((0, 1, 0, True),), (("0", 1, 0, 1),)):
+        cert = replace(base, summands=summands)
+        assert cert.to_json() == json.dumps(cert.to_dict(), indent=2)
+
+
+def test_certificate_reader_builds_nothing_from_a_shape_the_graph_does_not_fill():
+    # the cross sets are cached, so a shape read before it meets the graph must not reach them
+    membership._grid_crosses.cache_clear()
+    data = {"verdict": "member", "shape": [2, 2], "graph6": "A_"}
+    with pytest.raises(ValueError, match=r"^summand \[0, 1, 0, 3\] is not a cross of the 2 x 2 grid$"):
+        Certificate.from_dict({**data, "summands": [[0, 1, 0, 3]]})
+    assert membership._grid_crosses.cache_info().currsize == 0
+    data = {**data, "shape": [100000, 100000], "graph6": "C?"}
+    cert = Certificate.from_dict({**data, "summands": []})
+    assert verify_certificate(cert) == ["graph has 4 vertices but shape (100000, 100000) needs 10000000000"]
+    with pytest.raises(ValueError, match=r"^labeling covers 0 vertices, grid has 10000000000$"):
+        Certificate.from_dict({**data, "labeling": []})
+    assert membership._grid_crosses.cache_info().currsize == 0
+
+
 def test_verify_certificate_checks_summands_one_by_one_only_when_they_differ(monkeypatch):
     # matching summands are the relabeled graph's own, so each is a cross of the grid
     shape = GridShape(3, 3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import reduce
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .graphs import Graph
@@ -40,10 +41,17 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
 
 
 def two_sum(g: Graph, h: Graph) -> Graph:
-    """XOR of edge sets on a shared vertex set (symmetric difference)."""
+    """XOR of edge sets on a shared vertex set (symmetric difference).
+
+    Costs one C-level copy of g's rows plus one XOR per nonzero row of h, so
+    pass the sparser operand as h: XOR-ing a cross into a graph is four XORs.
+    """
     if g.n != h.n:
         raise ValueError(f"2-sum needs equal vertex counts, got {g.n} and {h.n}")
-    return Graph._trusted(g.n, [a ^ b for a, b in zip(g.rows, h.rows)])
+    rows = list(g.rows)
+    for v in compress(range(h.n), h.rows):
+        rows[v] ^= h.rows[v]
+    return Graph._trusted(g.n, rows)
 
 
 def tensor_elementary(p: int, q: int, i: int, i2: int, j: int, j2: int) -> Graph:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import and_, lshift
+from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 62
@@ -10,13 +13,12 @@ STANDARD_KINDS = ("complete", "path", "cycle", "edgeless")
 
 # The graph6 bit field lists the upper triangle column by column (bit (i, j) for
 # i < j at j(j-1)/2 + i) and packs it six bits to a character, first bit highest.
-# The encoder holds it as one int with field bit k at int bit k, so column j is the
-# low j bits of row j, and a character is a 6-bit group read in reverse, plus 63.
-# The decoder pads each column to n characters, making the field an n x n string
-# whose line j is column j: row i is line i up to place i, then place i of each
-# later line, read in reverse as one binary numeral.
-_G6_CHARS = tuple(chr(int(f"{v:06b}"[::-1], 2) + 63) for v in range(64))
-_G6_BITS = {v + 63: f"{v:06b}" for v in range(64)}  # character -> its six field bits, in field order
+# The codec holds it as one int with field bit k at int bit k, so column j is the
+# low j bits of row j. With 6-bit group k moved to bit 8k, the int's little-endian
+# bytes are the groups, and one bytes.translate turns each group into its
+# character (bits reversed, plus 63) or back.
+_G6_OUT = bytes(int(f"{v:06b}"[::-1], 2) + 63 for v in range(64)) * 4  # group -> character; only 0..63 occur
+_G6_IN = bytes(63) + bytes(c - 63 for c in _G6_OUT[:64]) + bytes(129)  # character 63..126 -> group
 _G6_DROP_PRINTABLE = str.maketrans("", "", "".join(map(chr, range(63, 127))))
 
 
@@ -140,22 +142,79 @@ def standard_graph(kind: str, n: int) -> Graph:
     return new_graph(n, edges)
 
 
+def _spread_steps(segments: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """Masked shifts that move each bit segment (mask, start, delta) up by delta.
+
+    Step b moves the segments whose delta has bit b by 1 << b, highest b first.
+    The deltas must not decrease along the segments, so no two bits ever meet.
+    """
+    top = max((delta for _, _, delta in segments), default=0)
+    return [
+        (sum(mask << start + (delta & -2 << b) for mask, start, delta in segments if delta >> b & 1), 1 << b)
+        for b in reversed(range(top.bit_length()))
+    ]
+
+
+def _spread(bits: int, steps: list[tuple[int, int]]) -> int:
+    """Apply the moves of _spread_steps to bits."""
+    for mask, shift in steps:
+        moved = bits & mask
+        bits ^= moved ^ moved << shift
+    return bits
+
+
+def _gather(bits: int, steps: list[tuple[int, int]]) -> int:
+    """Undo _spread(bits, steps)."""
+    for mask, shift in reversed(steps):
+        moved = bits & mask << shift
+        bits ^= moved ^ moved >> shift
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _g6_layout(n: int) -> tuple:
+    """Tables of the order-n graph6 codec.
+
+    masks[j] and offs[j] cut column j of the field, the low j bits of row j, to
+    offset j(j-1)/2; groups spreads 6-bit group k to bit 8k. The decoder holds
+    the matrix as one int, entry (r, c) at bit r*width + c: columns spreads the
+    field into its lower triangle, swaps transposes it by delta swaps, one per
+    bit of an index, and rows unpacks it into width-bit rows.
+    """
+    masks = [(1 << j) - 1 for j in range(n)]
+    offs = [j * (j - 1) // 2 for j in range(n)]
+    ngroups = (n * (n - 1) // 2 + 5) // 6
+    groups = _spread_steps([(63, 6 * k, 2 * k) for k in range(ngroups)])
+    width = max(8, 1 << max(n - 1, 0).bit_length())
+    columns = _spread_steps([(mask, off, j * width - off) for j, (mask, off) in enumerate(zip(masks, offs))])
+    swaps = []
+    for b in range(width.bit_length() - 1):
+        lane = sum(1 << c for c in range(width) if c >> b & 1)
+        swaps.append((sum(lane << r * width for r in range(width) if not r >> b & 1), (width - 1) << b))
+    rows = Struct(f"<{n}{'BHIQ'[(width // 8).bit_length() - 1]}")
+    return masks, offs, ngroups, groups, columns, swaps, rows
+
+
 def graph6_encode(g: Graph) -> str:
-    """Encode in graph6 short form (n <= 62)."""
+    """Encode in graph6 short form (n <= 62).
+
+    Packs the triangle in one C-level sum, spreads its 6-bit groups to bytes in
+    log2(groups) masked shifts and writes every character with one translate.
+    """
     n = g.n
     if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 short form handles n <= {GRAPH6_MAX_N}, got {n}")
-    rows = g.rows
-    bits = 0
-    off = 0
-    for j in range(1, n):
-        bits |= (rows[j] & ((1 << j) - 1)) << off
-        off += j
-    return chr(n + 63) + "".join([_G6_CHARS[(bits >> s) & 63] for s in range(0, off, 6)])
+    masks, offs, ngroups, groups, _, _, _ = _g6_layout(n)
+    field = sum(map(lshift, map(and_, g.rows, masks), offs))
+    return chr(n + 63) + _spread(field, groups).to_bytes(ngroups, "little").translate(_G6_OUT).decode()
 
 
 def graph6_decode(s: str) -> Graph:
-    """Decode a graph6 short-form string; optional '>>graph6<<' header allowed."""
+    """Decode a graph6 short-form string; optional '>>graph6<<' header allowed.
+
+    Runs the encoder's tables backwards into the strictly lower triangle, ORs
+    in its word-level transpose and unpacks the rows with one struct call.
+    """
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):].strip()
@@ -167,17 +226,18 @@ def graph6_decode(s: str) -> Graph:
     if ord(s[0]) == 126:
         raise ValueError("long-form graph6 (n >= 63) is not supported")
     n = ord(s[0]) - 63
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    _, _, need, groups, columns, swaps, rows = _g6_layout(n)
     body = s[1:]
     if len(body) < need:
         raise ValueError(f"truncated graph6 bit field: need {need} characters, got {len(body)}")
     if len(body) > need:
         raise ValueError(f"trailing data after graph6 bit field ({len(body) - need} extra characters)")
-    field = body.translate(_G6_BITS)
-    square = "".join([field[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)])
-    rows = [int((square[i * n:i * n + i] + square[i::n][i:])[::-1], 2) for i in range(n)]
-    return Graph._trusted(n, rows)
+    field = _gather(int.from_bytes(body.encode().translate(_G6_IN), "little"), groups)
+    lower = matrix = _spread(field & ((1 << n * (n - 1) // 2) - 1), columns)  # padding bits dropped
+    for mask, distance in swaps:
+        moved = (matrix ^ matrix >> distance) & mask
+        matrix ^= moved ^ moved << distance
+    return Graph._trusted(n, rows.unpack((matrix | lower).to_bytes(rows.size, "little")))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -302,26 +302,31 @@ def _edge_defect(k: Graph, q: int, u: int, v: int) -> str | None:
 
 
 @lru_cache(maxsize=None)
-def _pair_layout(p: int, q: int) -> tuple[tuple, tuple, tuple]:
-    """Tables for _pair_rows at shape (p, q).
+def _pair_layout(p: int, q: int) -> tuple[tuple, tuple]:
+    """Tables for _pair_rows at shape (p, q), with no per-cross entry.
 
     lines[v] masks v's grid row and column. reads[r] holds, for the r-th row
     pair (i, i2) of combinations order, one term (i*q + j, i2*q + j + 1,
     i2*q + j, i*q + j + 1, mask_j, off_j) per column j < q - 1, where
-    mask_j = (1 << (q-1-j)) - 1 and off_j, the sum of q-1-t over t < j, is the
-    index of column pair (j, j+1). quads[r][t] is the cross of row pair r and
-    column pair t.
+    mask_j = (1 << (q-1-j)) - 1 and off_j = j(q-1) - j(j-1)/2, the sum of
+    q-1-t over t < j, is the index of column pair (j, j+1). No cross is listed
+    here: _cross_table holds them for the shapes whose members are read out.
     """
     column = [sum(1 << (r * q + j) for r in range(p)) for j in range(q)]
     lines = tuple(((1 << q) - 1) << (v - v % q) | column[v % q] for v in range(p * q))
-    mask_off = [((1 << (q - 1 - j)) - 1, sum(q - 1 - t for t in range(j))) for j in range(q - 1)]
+    mask_off = [((1 << (q - 1 - j)) - 1, j * (q - 1) - j * (j - 1) // 2) for j in range(q - 1)]
     reads = tuple(
         tuple((i * q + j, i2 * q + j + 1, i2 * q + j, i * q + j + 1, *mask_off[j]) for j in range(q - 1))
         for i, i2 in combinations(range(p), 2)
     )
+    return lines, reads
+
+
+@lru_cache(maxsize=None)
+def _cross_table(p: int, q: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """[r][t] is the cross (i, i2, j, j2) of the r-th row pair and t-th column pair."""
     col_pairs = tuple(combinations(range(q), 2))
-    quads = tuple(tuple(rp + cp for cp in col_pairs) for rp in combinations(range(p), 2))
-    return lines, reads, quads
+    return tuple(tuple(rp + cp for cp in col_pairs) for rp in combinations(range(p), 2))
 
 
 def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
@@ -334,7 +339,7 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
     rows = k.rows
-    lines, reads, _ = _pair_layout(p, q)
+    lines, reads = _pair_layout(p, q)
     if any(map(int.__and__, rows, lines)):
         return None
     out = []
@@ -361,7 +366,7 @@ def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
 def _summands(pairs: tuple[int, ...], shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
     """The crosses (i, i2, j, j2) whose bits are set in a pair matrix, sorted."""
     out = []
-    for quads, m in zip(_pair_layout(shape.p, shape.q)[2], pairs):
+    for quads, m in zip(_cross_table(shape.p, shape.q), pairs):
         while m:
             low = m & -m
             out.append(quads[low.bit_length() - 1])
@@ -409,7 +414,7 @@ def edge_bound_check(k: Graph, shape: GridShape) -> tuple[int, bool]:
 
 def pair_quadruples(shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
     """All C(p,2)*C(q,2) cross quadruples (i, i2, j, j2), in sorted order."""
-    return tuple(quad for row in _pair_layout(shape.p, shape.q)[2] for quad in row)
+    return tuple(quad for row in _cross_table(shape.p, shape.q) for quad in row)
 
 
 def graph_from_quadruples(

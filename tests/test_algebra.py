@@ -88,9 +88,25 @@ def test_two_sum_basics():
     assert two_sum(two_sum(g, h), f) == two_sum(g, two_sum(h, f))
 
 
+def test_two_sum_matches_the_full_width_xor_at_every_order():
+    rng = random.Random(43)
+    for n in range(65):
+        empty = new_graph(n, [])
+        for _ in range(3):
+            sparse = random_graph(rng, n, 0.05)
+            dense = random_graph(rng, n, 0.9)
+            pairs = [(sparse, dense), (dense, sparse), (sparse, sparse), (dense, dense), (dense, empty), (empty, sparse)]
+            for g, h in pairs:
+                out = two_sum(g, h)
+                assert out.n == n and out.rows == tuple(a ^ b for a, b in zip(g.rows, h.rows))
+            assert two_sum(dense, dense) == two_sum(sparse, sparse) == two_sum(empty, empty) == empty
+
+
 def test_two_sum_rejects_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2-sum needs equal vertex counts, got 3 and 4"):
         two_sum(standard_graph("path", 3), standard_graph("path", 4))
+    with pytest.raises(ValueError, match="got 5 and 0"):
+        two_sum(standard_graph("edgeless", 5), new_graph(0, []))
 
 
 def test_two_sum_pinned_example():

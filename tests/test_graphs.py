@@ -185,7 +185,7 @@ def test_graph6_matches_the_reference_codec_on_every_graph_up_to_six_vertices():
 def test_graph6_matches_the_reference_codec_at_every_order():
     rng = random.Random(62)
     for n in range(GRAPH6_MAX_N + 1):
-        for density in (0.1, 0.5, 0.9):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
             g = random_graph(rng, n, density)
             text = reference_graph6_encode(g)
             assert graph6_encode(g) == text
@@ -193,18 +193,19 @@ def test_graph6_matches_the_reference_codec_at_every_order():
 
 
 def test_graph6_decode_ignores_padding_bits_like_the_reference():
+    # random printable bodies at every order, the padding bits of the last character set where there are any
     rng = random.Random(6)
     for n in range(GRAPH6_MAX_N + 1):
         nbits = n * (n - 1) // 2
         padding = (1 << (-nbits % 6)) - 1  # low bits of the last character that hold no edge
-        if not padding:
-            continue
-        body = [rng.randrange(64) for _ in range((nbits + 5) // 6)]
-        body[-1] |= padding
-        text = "".join(chr(v + 63) for v in [n, *body])
-        g = graph6_decode(text)
-        assert g == reference_graph6_decode(text)
-        assert graph6_encode(g) == reference_graph6_encode(g) == text[:-1] + chr((body[-1] & ~padding) + 63)
+        for _ in range(4):
+            body = [rng.randrange(64) for _ in range((nbits + 5) // 6)]
+            head, last = body[:-1], body[-1:]
+            text = "".join(chr(v + 63) for v in [n, *head, *(v | padding for v in last)])
+            g = graph6_decode(text)
+            assert g == reference_graph6_decode(text)
+            clean = "".join(chr(v + 63) for v in [n, *head, *(v & ~padding for v in last)])
+            assert graph6_encode(g) == reference_graph6_encode(g) == clean
 
 
 def test_graph6_decode_rejects_malformed():

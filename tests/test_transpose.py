@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 from math import comb
 
 import numpy as np
 import pytest
 
 from xorkron import (
+    Graph,
     GridShape,
     TensorSummand,
     format_matrix_text,
@@ -23,8 +25,9 @@ from xorkron import (
     two_sum,
 )
 from xorkron.membership import REASON_SAME_LINE, find_violation
+from xorkron.transpose import _partners_closed
 
-from .helpers import parse_matrix_text, random_nontrivial
+from .helpers import parse_matrix_text, random_graph, random_nontrivial
 
 
 def _random_bits(rng: random.Random, n: int) -> tuple[int, ...]:
@@ -105,8 +108,8 @@ def _partners_present(k, p: int) -> bool:
 
 
 def _check_fixed_point(k, p: int, fixed: bool) -> None:
-    """ppt_test(k, p) == fixed, and ppt_test is the partner half of the cross condition find_violation checks."""
-    assert ppt_test(k, p) == _partners_present(k, p) == fixed
+    """ppt_test(k, p) == fixed, as the transpose says; ppt_test is the partner half of find_violation's check."""
+    assert ppt_test(k, p) == (partial_transpose(k.rows, p) == k.rows) == _partners_present(k, p) == fixed
     w = find_violation(k, GridShape(p, k.n // p))
     if fixed:  # a fixed point fails membership only through a same-line edge
         assert w is None or w.reason == REASON_SAME_LINE
@@ -114,7 +117,8 @@ def _check_fixed_point(k, p: int, fixed: bool) -> None:
         assert w is not None
 
 
-@pytest.mark.parametrize("n, p", [(4, 2), (6, 2), (6, 3)])
+# every (n, p) with n <= 6 that ppt_test accepts: (4, 2), (6, 2) and (6, 3)
+@pytest.mark.parametrize("n, p", [(n, p) for n in range(7) for p in range(2, n) if n % p == 0 and n // p >= 2])
 def test_fixed_points_are_exactly_the_graphs_with_every_cross_partner(n, p):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     fixed_count = 0
@@ -143,6 +147,38 @@ def test_members_stay_fixed_under_line_edges_and_leave_under_a_cross_edge(p, q):
         _check_fixed_point(lined, p, True)
         assert find_violation(lined, GridShape(p, q)).reason == REASON_SAME_LINE
         _check_fixed_point(two_sum(member, new_graph(n, [rng.choice(across)])), p, False)
+
+
+def test_ppt_test_agrees_with_the_transpose_on_random_graphs_at_every_divisor():
+    # wide, square and tall grids; the closures k | PT(k) are fixed points, one toggled edge usually breaks them
+    rng = random.Random(4040)
+    for n in range(4, 41):
+        for p in (p for p in range(2, n) if n % p == 0 and n // p >= 2):
+            for density in (0.05, 0.3, 0.8):
+                k = random_graph(rng, n, density)
+                closure = Graph(n, [a | b for a, b in zip(k.rows, partial_transpose(k.rows, p))])
+                u, v = rng.sample(range(n), 2)
+                toggled = two_sum(closure, new_graph(n, [(u, v)]))
+                for g in (k, closure, toggled):  # the block test too on tall grids, where ppt_test transposes
+                    fixed = partial_transpose(g.rows, p) == g.rows
+                    assert ppt_test(g, p) == _partners_closed(g.rows, p, n // p) == fixed
+                assert ppt_test(closure, p)
+
+
+def test_ppt_test_on_a_wide_edgeless_graph_within_budget():
+    # deciding by the transpose, p*q*q Python steps, took about 1 s here
+    start = time.perf_counter()
+    assert ppt_test(standard_graph("edgeless", 4000), 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"ppt_test(E4000, 2) took {elapsed:.2f} s"
+
+
+def test_ppt_test_on_a_tall_edgeless_graph_within_budget():
+    # the block test's C(p,2)*(q-1) steps, about 8M here, took about 4 s; the transpose's p*q*q are 16000
+    start = time.perf_counter()
+    assert ppt_test(standard_graph("edgeless", 8000), 4000)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"ppt_test(E8000, 4000) took {elapsed:.2f} s"
 
 
 def test_ppt_test_rejects_bad_block_size():

@@ -188,10 +188,8 @@ class Certificate:
         summands = None
         if "summands" in data:
             summands = _int_tuples(_list_of(data["summands"], "summands"), 4, "summand")
-            # the cross sets are cached, so only for shapes that fit a graph, which graph6 caps at 62 vertices
-            if shape.order != graph.n or not _grid_crosses(shape).issuperset(summands):
-                for problem in filter(None, (_summand_problem(s, shape) for s in summands)):
-                    raise ValueError(problem)
+            for problem in filter(None, (_summand_problem(s, shape) for s in summands)):
+                raise ValueError(problem)
         witness = None
         if "witness" in data:
             w = data["witness"]
@@ -221,11 +219,6 @@ def _field(data: dict, key: str, where: str = "certificate") -> object:
     if key not in data:
         raise ValueError(f"{where} has no {key!r} field")
     return data[key]
-
-
-@lru_cache(maxsize=None)
-def _grid_crosses(shape: GridShape) -> frozenset:
-    return frozenset(pair_quadruples(shape))
 
 
 def _int_lists(items: list, length: int) -> bool:
@@ -364,7 +357,9 @@ def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
 
 
 def _summands(pairs: tuple[int, ...], shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
-    """The crosses (i, i2, j, j2) whose bits are set in a pair matrix, sorted."""
+    """The crosses (i, i2, j, j2) whose bits are set in a pair matrix, sorted; no table for an edgeless one."""
+    if not any(pairs):
+        return ()
     out = []
     for quads, m in zip(_cross_table(shape.p, shape.q), pairs):
         while m:
@@ -515,9 +510,7 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       adds two to the degree sum of every row and column it meets, so every
       line's sum is even, and the last empty cell of v's row or column keeps
       only vertices of the parity that makes it so. A branch dies as soon as
-      an empty cell has no candidate left, an unplaced vertex fits no empty
-      cell, or the empty cells of v's row or column cannot take an
-      independent set from their candidates.
+      an empty cell has no candidate left.
     - False twins. If u < w have equal adjacency rows (so they are not
       adjacent), w goes only to a cell after u's: placing u drops its later
       twins from the cells before its own, and u must leave enough empty
@@ -532,10 +525,11 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       some completion exists: a valid labeling that extends the placement
       and keeps every candidate mask. Each leaf below the placement is one,
       so a placement without a completion roots a subtree with no leaf, and
-      skipping it leaves the yielded sequence unchanged. Each step places
-      the unplaced vertex with the most placed neighbours (then the highest
-      degree), taking only the least unplaced vertex of each twin class and
-      only cells in rows and columns already used or the next unused one.
+      skipping it leaves the yielded sequence unchanged. Each step expands
+      like the main search, on cells in rows and columns already used or
+      the next unused one, but places the unplaced vertex with the most
+      placed neighbours (then the highest degree), taking only the least
+      unplaced vertex of each twin class.
       A step dies on propagation, or when the empty cells cannot take
       distinct vertices from their candidates. No restriction loses a
       completion:
@@ -620,15 +614,6 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                     keep |= low
             out[s] = keep
 
-    def has_independent(mask: int, size: int) -> bool:
-        """True iff mask holds size pairwise non-adjacent vertices."""
-        while mask.bit_count() >= size > 0:
-            low = mask & -mask
-            mask ^= low
-            if has_independent(mask & ~adj[low.bit_length() - 1], size - 1):
-                return True
-        return size <= 0
-
     def propagate(v: int, t: int, cand: list[int], live: int) -> list[int] | None:
         """Cell state after placing v at cell t, or None on a dead end.
 
@@ -668,36 +653,50 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 tie(out, live, d, nb, a, adj[yb])
         # The degree sums of v's row and column are even: the last empty cell of
         # either keeps the parity that makes them so.
-        spans = []
         for line in lines[t]:
-            free = need = 0
+            need = 0
             odd = degree[v] & 1
             for s in line:
                 if s == t:
                     continue
                 if holder[s] < 0:
-                    free |= out[s]
                     need += 1
                     last = s
                 else:
                     odd ^= degree[holder[s]] & 1
             if need == 1:
                 out[last] &= odd_degree if odd else ~odd_degree
-            spans.append((free, need))
-        cover = 0
         for s in range(n):
-            if holder[s] < 0 and s != t:
-                m = out[s] & live
-                if not m:
-                    return None
-                cover |= m
-        if cover != live:
-            return None
-        # The empty cells of v's row and of v's column take independent sets.
-        for free, need in spans:
-            if need > 1 and not has_independent(free & live, need):
+            if holder[s] < 0 and s != t and not out[s] & live:
                 return None
         return out
+
+    def step(
+        x: int, cand: list[int], live: int, taken: int, rows_used: int, cols_used: int
+    ) -> Iterator[tuple[int, list[int], tuple[int, int, int]]]:
+        """(t, cell state, (taken, rows_used, cols_used)) after each placement of x that propagation keeps.
+
+        Canonical cells t go least first; live masks the vertices unplaced after x.
+        holder[t] is x until the caller asks for the next placement or drops the iterator.
+        """
+        bit = 1 << x
+        room = later_twins[x].bit_count()
+        for r in range(min(rows_used + 1, p)):
+            for c in range(min(cols_used + 1, q)):
+                t = r * q + c
+                if not cand[t] & bit:
+                    continue
+                # x's later twins need empty cells after t, and fewer are left as t grows.
+                if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
+                    return
+                after = propagate(x, t, cand, live)
+                if after is None:
+                    continue
+                holder[t] = x
+                try:
+                    yield t, after, (taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
+                finally:
+                    holder[t] = -1
 
     def augment(s: int, cand: list[int], live: int, matched: dict[int, int], seen: list[int]) -> bool:
         """Match empty cell s to a live candidate, moving matched ones along (Kuhn's augmenting path).
@@ -738,27 +737,13 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 key = (adj[u] & placed).bit_count() * n + degree[u]
                 if key > best:
                     x, best = u, key
-        bit = 1 << x
-        rest = live ^ bit
-        room = later_twins[x].bit_count()
-        for r in range(min(rows_used + 1, p)):
-            for c in range(min(cols_used + 1, q)):
-                t = r * q + c
-                if not cand[t] & bit:
-                    continue
-                if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
-                    return None
-                after = propagate(x, t, cand, rest)
-                if after is None:
-                    continue
-                holder[t] = x
-                matched: dict[int, int] = {}
-                if all(augment(s, after, rest, matched, [0]) for s in range(n) if holder[s] < 0):
-                    found = complete(after, rest, taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
-                    if found is not None:
-                        holder[t] = -1
-                        return found
-                holder[t] = -1
+        rest = live ^ 1 << x
+        for _, after, below in step(x, cand, rest, taken, rows_used, cols_used):
+            matched: dict[int, int] = {}
+            if all(augment(s, after, rest, matched, [0]) for s in range(n) if holder[s] < 0):
+                found = complete(after, rest, *below)
+                if found is not None:
+                    return found
         return None
 
     leaves = dead = 0  # leaves yielded, and entered subtrees that held none
@@ -774,32 +759,16 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 cells[u] = (t // q, t % q)
             yield GridLabeling(shape, tuple(cells))
             return
-        bit = 1 << v
-        room = later_twins[v].bit_count()
         live = full & ~((2 << v) - 1)  # the vertices after v
-        for r in range(min(rows_used + 1, p)):
-            for c in range(min(cols_used + 1, q)):
-                t = r * q + c
-                if not cand[t] & bit:
+        for t, after, below in step(v, cand, live, taken, rows_used, cols_used):
+            found = witness if witness is not None and witness[v] == t else None
+            if found is None and dead > n:
+                found = complete(after, live, *below)
+                if found is None:
                     continue
-                # v's later twins need empty cells after t, and fewer are left as t grows.
-                if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
-                    return
-                after = propagate(v, t, cand, live)
-                if after is None:
-                    continue
-                holder[t] = v
-                below = (taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
-                found = witness if witness is not None and witness[v] == t else None
-                if found is None and dead > n:
-                    found = complete(after, live, *below)
-                    if found is None:
-                        holder[t] = -1
-                        continue
-                before = leaves
-                yield from place(v + 1, after, *below, found)
-                dead += leaves == before
-                holder[t] = -1
+            before = leaves
+            yield from place(v + 1, after, *below, found)
+            dead += leaves == before
 
     yield from place(0, [full] * n + [0] * n, 0, 0, 0, None)
 

@@ -181,6 +181,37 @@ def brute_valid_labelings(k: Graph, p: int, q: int) -> list[tuple[tuple[int, int
     return found
 
 
+def canonical_valid_labelings(k: Graph, p: int, q: int) -> list[tuple[tuple[int, int], ...]]:
+    """The valid labelings that are canonical and keep false twins in order, sorted.
+
+    Filters the (pq)! / (p! q!) canonical cell assignments, one per orbit
+    under renumbering rows and columns, so it reaches shapes such as (3, 3)
+    where brute_valid_labelings would try 9! bijections.
+    """
+    return [c for c in _canonical_assignments(p, q) if _assignment_valid(k, c, q) and twins_in_order(k, c)]
+
+
+@lru_cache(maxsize=None)
+def _canonical_assignments(p: int, q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every cell assignment numbering rows and columns by first use along v = 0, 1, ..., sorted."""
+    found = []
+    cells: list[tuple[int, int]] = []
+
+    def extend(rows_used: int, cols_used: int) -> None:
+        if len(cells) == p * q:
+            found.append(tuple(cells))
+            return
+        for i in range(min(rows_used + 1, p)):
+            for j in range(min(cols_used + 1, q)):
+                if (i, j) not in cells:
+                    cells.append((i, j))
+                    extend(max(rows_used, i + 1), max(cols_used, j + 1))
+                    cells.pop()
+
+    extend(0, 0)
+    return tuple(found)
+
+
 def _assignment_valid(k: Graph, cells, q: int) -> bool:
     position = {cell: v for v, cell in enumerate(cells)}
     for u, v in k.edges():

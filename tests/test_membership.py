@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -310,6 +311,17 @@ def test_empty_decomposition_flag():
     assert Certificate.from_json(cert.to_json()) == cert
 
 
+def test_edgeless_member_at_a_wide_shape_builds_no_cross_table():
+    # the cross table holds C(p,2)*C(q,2) tuples: about 12.5M here, which took 13 s and 2 GB to build
+    tables = membership._cross_table.cache_info().currsize
+    start = time.perf_counter()
+    cert = is_spanning_cross_like(standard_graph("edgeless", 10000), GridShape(2, 5000))
+    elapsed = time.perf_counter() - start
+    assert cert.verdict and cert.summands == () and cert.empty_decomposition
+    assert membership._cross_table.cache_info().currsize == tables
+    assert elapsed < 1.0, f"is_spanning_cross_like(E10000, (2, 5000)) took {elapsed:.2f} s"
+
+
 def _writer_corpus() -> list[Certificate]:
     """Certificates of every kind to_json writes, from 4 to 62 vertices."""
     shapes = [GridShape(2, 2), GridShape(2, 3), GridShape(3, 3)]
@@ -411,18 +423,15 @@ def test_certificate_writer_falls_back_on_lists_it_cannot_template():
 
 
 def test_certificate_reader_builds_nothing_from_a_shape_the_graph_does_not_fill():
-    # the cross sets are cached, so a shape read before it meets the graph must not reach them
-    membership._grid_crosses.cache_clear()
+    # the shape is read before it meets the graph, so nothing of its size may be built
     data = {"verdict": "member", "shape": [2, 2], "graph6": "A_"}
     with pytest.raises(ValueError, match=r"^summand \[0, 1, 0, 3\] is not a cross of the 2 x 2 grid$"):
         Certificate.from_dict({**data, "summands": [[0, 1, 0, 3]]})
-    assert membership._grid_crosses.cache_info().currsize == 0
     data = {**data, "shape": [100000, 100000], "graph6": "C?"}
     cert = Certificate.from_dict({**data, "summands": []})
     assert verify_certificate(cert) == ["graph has 4 vertices but shape (100000, 100000) needs 10000000000"]
     with pytest.raises(ValueError, match=r"^labeling covers 0 vertices, grid has 10000000000$"):
         Certificate.from_dict({**data, "labeling": []})
-    assert membership._grid_crosses.cache_info().currsize == 0
 
 
 def test_verify_certificate_checks_summands_one_by_one_only_when_they_differ(monkeypatch):

@@ -35,6 +35,7 @@ from xorkron.membership import (
 from .helpers import (
     brute_row_partition,
     brute_valid_labelings,
+    canonical_valid_labelings,
     every_graph,
     is_canonical,
     naive_least_labeling,
@@ -223,7 +224,21 @@ def test_valid_labelings_against_brute_force():
         got = [lab.cells for lab in valid_labelings(k, GridShape(p, q))]
         assert all(a < b for a, b in zip(got, got[1:]))
         assert got == sorted(c for c in brute if is_canonical(c) and twins_in_order(k, c))
+        assert got == canonical_valid_labelings(k, p, q)
         assert got[:1] == sorted(brute)[:1]
+    # the completion check seldom runs below (3, 3); there 9! bijections are too many, so the
+    # canonical assignments stand in for them and the naive search for the least labeling
+    rng = random.Random(127)
+    shape = GridShape(3, 3)
+    quads = list(pair_quadruples(shape))
+    for size in (1, 2, 2, 3, 3, 4, 4, 5) * 2:
+        k = graph_from_quadruples(shape, rng.sample(quads, size))
+        for g in (k, _moved_edge(rng, k)):
+            g = _permuted(rng, g)
+            got = [lab.cells for lab in valid_labelings(g, shape)]
+            assert got == canonical_valid_labelings(g, 3, 3)
+            least = naive_least_labeling(g, 3, 3)
+            assert got[:1] == ([least] if least else [])
 
 
 def _recognized_cells(g, shape):

@@ -509,8 +509,13 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       vertices, so only vertices of at least that degree stay. Each cross
       adds two to the degree sum of every row and column it meets, so every
       line's sum is even, and the last empty cell of v's row or column keeps
-      only vertices of the parity that makes it so. A branch dies as soon as
-      an empty cell has no candidate left.
+      only vertices of the parity that makes it so. Last, the empty cells
+      take the unplaced vertices one to one, all different. A branch dies as
+      soon as an empty cell has no candidate left, an unplaced vertex fits
+      no empty cell, two cells have the same single candidate, or one cell
+      is the only place for two vertices. A cell's single candidate (a naked
+      single) leaves every other cell, and a cell that is the only place for
+      some vertex (a hidden single) keeps just that vertex.
     - False twins. If u < w have equal adjacency rows (so they are not
       adjacent), w goes only to a cell after u's: placing u drops its later
       twins from the cells before its own, and u must leave enough empty
@@ -530,13 +535,16 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       the next unused one, but places the unplaced vertex with the most
       placed neighbours (then the highest degree), taking only the least
       unplaced vertex of each twin class.
-      A step dies on propagation, or when the empty cells cannot take
-      distinct vertices from their candidates. No restriction loses a
-      completion:
+      A step dies on propagation. No restriction loses a completion:
       - propagation, the twin drop aside, removes only candidates no
-        completion uses, and cells holding distinct vertices need such a
-        matching;
-      - the rows not yet used were narrowed alike, so they have equal
+        completion uses. For the all-different rules this is a count: the
+        empty cells and the unplaced vertices are equally many, so a
+        completion puts each unplaced vertex on exactly one empty cell and
+        each empty cell gets exactly one of them, from its mask. The rules
+        read only the masks, which every completion keeps, so they hold
+        however the masks were narrowed, the twin drop included;
+      - the rows not yet used were narrowed alike (the all-different rules
+        treat cells with equal masks alike), so they have equal
         candidate masks cell by cell, and swapping two of them maps
         completions to completions; the same holds for columns;
       - the unplaced members of a twin class have equal adjacency and
@@ -666,9 +674,33 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                     odd ^= degree[holder[s]] & 1
             if need == 1:
                 out[last] &= odd_degree if odd else ~odd_degree
-        for s in range(n):
-            if holder[s] < 0 and s != t and not out[s] & live:
-                return None
+        # All different: each empty cell other than t takes one live vertex and
+        # each live vertex one such cell. once and twice mask the vertices that
+        # fit at least one and at least two of them; singles the sole candidates.
+        empty = [s for s in range(n) if holder[s] < 0 and s != t]
+        once = twice = singles = 0
+        for s in empty:
+            m = out[s] & live
+            if not m & (m - 1):
+                if not m or m & singles:
+                    return None
+                singles |= m
+            twice |= once & m
+            once |= m
+        if once != live:
+            return None
+        only = once & ~twice  # the vertices that fit one cell
+        if only == singles:  # no hidden single, and no naked one fits another cell
+            return out
+        for s in empty:
+            m = out[s] & live
+            if m & (m - 1):
+                hidden = m & only
+                if hidden & (hidden - 1):
+                    return None
+                out[s] = hidden or m & ~singles
+                if not out[s]:
+                    return None
         return out
 
     def step(
@@ -698,22 +730,6 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 finally:
                     holder[t] = -1
 
-    def augment(s: int, cand: list[int], live: int, matched: dict[int, int], seen: list[int]) -> bool:
-        """Match empty cell s to a live candidate, moving matched ones along (Kuhn's augmenting path).
-
-        matched maps each matched vertex to its cell; seen[0] masks the vertices tried so far.
-        """
-        m = cand[s] & live & ~seen[0]
-        seen[0] |= m
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            if u not in matched or augment(matched[u], cand, live, matched, seen):
-                matched[u] = s
-                return True
-        return False
-
     def complete(cand: list[int], live: int, taken: int, rows_used: int, cols_used: int) -> list[int] | None:
         """The completion check: the cell of each vertex in some completion, or None.
 
@@ -739,11 +755,9 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                     x, best = u, key
         rest = live ^ 1 << x
         for _, after, below in step(x, cand, rest, taken, rows_used, cols_used):
-            matched: dict[int, int] = {}
-            if all(augment(s, after, rest, matched, [0]) for s in range(n) if holder[s] < 0):
-                found = complete(after, rest, *below)
-                if found is not None:
-                    return found
+            found = complete(after, rest, *below)
+            if found is not None:
+                return found
         return None
 
     leaves = dead = 0  # leaves yielded, and entered subtrees that held none

@@ -226,18 +226,20 @@ def test_valid_labelings_against_brute_force():
         assert got == sorted(c for c in brute if is_canonical(c) and twins_in_order(k, c))
         assert got == canonical_valid_labelings(k, p, q)
         assert got[:1] == sorted(brute)[:1]
-    # the completion check seldom runs below (3, 3); there 9! bijections are too many, so the
-    # canonical assignments stand in for them and the naive search for the least labeling
+    # the completion check seldom runs below (3, 3); there and at (2, 5) the 9! and 10! bijections
+    # are too many, so the canonical assignments stand in for them and the naive search for the least labeling
     rng = random.Random(127)
-    shape = GridShape(3, 3)
-    quads = list(pair_quadruples(shape))
-    for size in (1, 2, 2, 3, 3, 4, 4, 5) * 2:
-        k = graph_from_quadruples(shape, rng.sample(quads, size))
+    cases = [(GridShape(3, 3), size) for size in (1, 2, 2, 3, 3, 4, 4, 5) * 2]
+    # sparse members rich in isolated vertices, where naked and hidden singles narrow most
+    cases += [(GridShape(2, 5), size) for size in (1, 1, 2, 2, 3, 3)] + [(GridShape(3, 3), 1)] * 4
+    for shape, size in cases:
+        p, q = shape
+        k = graph_from_quadruples(shape, rng.sample(list(pair_quadruples(shape)), size))
         for g in (k, _moved_edge(rng, k)):
             g = _permuted(rng, g)
             got = [lab.cells for lab in valid_labelings(g, shape)]
-            assert got == canonical_valid_labelings(g, 3, 3)
-            least = naive_least_labeling(g, 3, 3)
+            assert got == canonical_valid_labelings(g, p, q)
+            least = naive_least_labeling(g, p, q)
             assert got[:1] == ([least] if least else [])
 
 

@@ -23,20 +23,17 @@ def tensor_product(g: Graph, h: Graph) -> Graph:
     matrix is the Kronecker product of the factor matrices.
     """
     p, q = g.n, h.n
-    rows = [0] * (p * q)
-    for i in range(p):
-        gi = g.rows[i]
-        for j in range(q):
-            hj = h.rows[j]
-            if not hj:
-                continue
-            acc = 0
-            m = gi
-            while m:
-                i2 = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= hj << (i2 * q)
-            rows[i * q + j] = acc
+    # Row (i, j) is spread(g.rows[i]) * h.rows[j], where spread moves bit i2 to
+    # bit i2*q: the terms cannot carry, as h.rows[j] < 2**q.
+    spreads = []
+    for gi in g.rows:
+        spread = 0
+        while gi:
+            low = gi & -gi
+            gi ^= low
+            spread |= 1 << (low.bit_length() - 1) * q
+        spreads.append(spread)
+    rows = [spread * hj for spread in spreads for hj in h.rows]
     return Graph._trusted(p * q, rows)
 
 

@@ -66,8 +66,7 @@ class GridShape:
             raise ValueError(f"grid shape needs p, q >= 2, got ({self.p}, {self.q})")
 
     def __iter__(self) -> Iterator[int]:
-        yield self.p
-        yield self.q
+        return iter((self.p, self.q))
 
     @property
     def order(self) -> int:
@@ -461,15 +460,26 @@ def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:
     def fill(unused: int, need: int, cand: int) -> bool:
         """True iff the open block takes need more vertices from cand and unused then splits.
 
-        Each block starts at the least unused vertex and takes its other
-        members in ascending order, so each partition is tried once.
+        Each block opens at the unused vertex with the fewest unused
+        non-neighbours, itself included, and takes its other members from
+        them in ascending order. Any opener is complete: every split of unused
+        puts it in a block of q of those vertices, so fewer than q admit none.
         """
         if need == 0:
             if not unused:
                 return True
-            low = unused & -unused
-            rest = unused ^ low
-            return fill(rest, q - 1, rest & ~adj[low.bit_length() - 1])
+            room = k.n + 1
+            m = unused
+            while m:
+                low = m & -m
+                m ^= low
+                r = (unused & ~adj[low.bit_length() - 1]).bit_count()
+                if r < room:
+                    room, opener = r, low
+            if room < q:
+                return False
+            rest = unused ^ opener
+            return fill(rest, q - 1, rest & ~adj[opener.bit_length() - 1])
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
@@ -509,13 +519,15 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       vertices, so only vertices of at least that degree stay. Each cross
       adds two to the degree sum of every row and column it meets, so every
       line's sum is even, and the last empty cell of v's row or column keeps
-      only vertices of the parity that makes it so. Last, the empty cells
-      take the unplaced vertices one to one, all different. A branch dies as
-      soon as an empty cell has no candidate left, an unplaced vertex fits
-      no empty cell, two cells have the same single candidate, or one cell
-      is the only place for two vertices. A cell's single candidate (a naked
-      single) leaves every other cell, and a cell that is the only place for
-      some vertex (a hidden single) keeps just that vertex.
+      only vertices of the parity that makes it so. A branch dies as soon as a
+      narrowing before the parity one leaves an empty cell with no candidate.
+      Last, the empty cells take the unplaced vertices one to one, all
+      different. A branch dies if an empty cell has no candidate left, an
+      unplaced vertex fits no empty cell, two cells have the same single
+      candidate, or one cell is the only place for two vertices. A cell's
+      single candidate (a naked single) leaves every other cell, and a cell
+      that is the only place for some vertex (a hidden single) keeps just that
+      vertex.
     - False twins. If u < w have equal adjacency rows (so they are not
       adjacent), w goes only to a cell after u's: placing u drops its later
       twins from the cells before its own, and u must leave enough empty
@@ -583,21 +595,24 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
         with_row[adj[v]] = later_twins[v] | 1 << v
     holder = [-1] * n  # vertex at each cell, -1 while empty
 
-    def tie(out: list[int], live: int, s1: int, m1: int, s2: int, m2: int) -> None:
-        """Narrow two empty cells whose vertices lie in m1 and m2 together or not at all."""
+    def tie(out: list[int], live: int, s1: int, m1: int, s2: int, m2: int) -> int:
+        """Narrow two empty cells whose vertices lie in m1 and m2 together or not at all; 0 if one empties."""
         c2 = out[s2] & live
         if not c2 & ~m2:
             out[s1] &= m1
         elif not c2 & m2:
             out[s1] &= ~m1
         c1 = out[s1] & live
+        if not c1:
+            return 0
         if not c1 & ~m1:
             out[s2] &= m2
         elif not c1 & m1:
             out[s2] &= ~m2
+        return out[s2] & live
 
-    def narrow(out: list[int], s: int, mask: int, joined: int) -> None:
-        """Keep in empty cell s the vertices in mask if joined, else those outside it.
+    def narrow(out: list[int], live: int, s: int, mask: int, joined: int) -> int:
+        """Keep in empty cell s the vertices in mask if joined, else those outside it; return its live ones.
 
         A joined cell's vertex has one more neighbour to find, so its degree bound grows.
         """
@@ -606,27 +621,30 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
             out[s] &= mask & deg_at_least[out[n + s]]
         else:
             out[s] &= ~mask
+        return out[s] & live
 
-    def adjacent_pair(out: list[int], live: int, s1: int, s2: int) -> None:
-        """Keep in each of two empty cells the vertices with a neighbour in the other."""
-        narrow(out, s1, full, 1)
-        narrow(out, s2, full, 1)
+    def adjacent_pair(out: list[int], live: int, s1: int, s2: int) -> bool:
+        """Keep in each of two empty cells the neighbours of the other's candidates; False if one empties."""
+        if not (narrow(out, live, s1, full, 1) and narrow(out, live, s2, full, 1)):
+            return False
         for s, other in ((s1, s2), (s2, s1)):
-            mates = out[other] & live
-            keep = 0
-            m = out[s] & live
+            reach = 0
+            m = out[other] & live
             while m:
                 low = m & -m
                 m ^= low
-                if adj[low.bit_length() - 1] & mates:
-                    keep |= low
-            out[s] = keep
+                reach |= adj[low.bit_length() - 1]
+            out[s] &= reach
+            if not out[s] & live:
+                return False
+        return True
 
-    def propagate(v: int, t: int, cand: list[int], live: int) -> list[int] | None:
+    def propagate(v: int, t: int, cand: list[int], live: int, empty: list[int]) -> list[int] | None:
         """Cell state after placing v at cell t, or None on a dead end.
 
         cand[s] is the candidate mask of cell s and cand[n + s] the number of
-        cells its vertex must be adjacent to; live masks the unplaced vertices.
+        cells its vertex must be adjacent to; live masks the unplaced vertices
+        and empty lists the empty cells, t among them.
         """
         out = cand[:]
         out[t] = 0
@@ -634,9 +652,13 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
         if later_twins[v]:
             for s in range(t):
                 out[s] &= ~later_twins[v]
+        # Here and in the rectangles, an empty cell left with no live candidate
+        # ends the branch at once: the all-different pass would end it anyway.
         for line in lines[t]:
             for s in line:
                 out[s] &= ~nb
+                if not out[s] & live and holder[s] < 0:
+                    return None
         # Each rectangle through t: v ~ (vertex at d) iff (vertex at a) ~ (vertex
         # at b). With a, b and d all placed, v in cand[t] already closes it:
         # cand[t] was narrowed when the last of them was placed. A demand on an
@@ -646,27 +668,28 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
             if x >= 0:
                 joined = (nb >> x) & 1
                 if ya >= 0:
-                    if yb < 0:
-                        narrow(out, b, adj[ya], joined)
+                    if yb < 0 and not narrow(out, live, b, adj[ya], joined):
+                        return None
                 elif yb >= 0:
-                    narrow(out, a, adj[yb], joined)
-                elif joined:
-                    adjacent_pair(out, live, a, b)
+                    if not narrow(out, live, a, adj[yb], joined):
+                        return None
+                elif joined and not adjacent_pair(out, live, a, b):
+                    return None
             elif ya >= 0:
                 if yb >= 0:
                     out[d] &= nb if (adj[ya] >> yb) & 1 else ~nb
-                else:
-                    tie(out, live, d, nb, b, adj[ya])
-            elif yb >= 0:
-                tie(out, live, d, nb, a, adj[yb])
+                    if not out[d] & live:
+                        return None
+                elif not tie(out, live, d, nb, b, adj[ya]):
+                    return None
+            elif yb >= 0 and not tie(out, live, d, nb, a, adj[yb]):
+                return None
         # The degree sums of v's row and column are even: the last empty cell of
         # either keeps the parity that makes them so.
         for line in lines[t]:
             need = 0
             odd = degree[v] & 1
             for s in line:
-                if s == t:
-                    continue
                 if holder[s] < 0:
                     need += 1
                     last = s
@@ -677,9 +700,10 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
         # All different: each empty cell other than t takes one live vertex and
         # each live vertex one such cell. once and twice mask the vertices that
         # fit at least one and at least two of them; singles the sole candidates.
-        empty = [s for s in range(n) if holder[s] < 0 and s != t]
         once = twice = singles = 0
         for s in empty:
+            if s == t:
+                continue
             m = out[s] & live
             if not m & (m - 1):
                 if not m or m & singles:
@@ -713,6 +737,7 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
         """
         bit = 1 << x
         room = later_twins[x].bit_count()
+        empty = [s for s in range(n) if holder[s] < 0]
         for r in range(min(rows_used + 1, p)):
             for c in range(min(cols_used + 1, q)):
                 t = r * q + c
@@ -721,7 +746,7 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
                 # x's later twins need empty cells after t, and fewer are left as t grows.
                 if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
                     return
-                after = propagate(x, t, cand, live)
+                after = propagate(x, t, cand, live, empty)
                 if after is None:
                     continue
                 holder[t] = x
@@ -789,14 +814,14 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
 
 @lru_cache(maxsize=None)
 def _grid_geometry(p: int, q: int) -> tuple[tuple, tuple]:
-    """Per cell t = r*q + c: (row r's cells, column c's cells) and the rectangles through t.
+    """Per cell t = r*q + c: (row r's other cells, column c's other cells) and the rectangles through t.
 
     Cell order is lexicographic (row, column). A rectangle is given as its
     (opposite corner, same-row corner, same-column corner).
     """
     cells = [(r, c) for r in range(p) for c in range(q)]
     lines = tuple(
-        (tuple(r * q + c2 for c2 in range(q)), tuple(r2 * q + c for r2 in range(p)))
+        (tuple(r * q + c2 for c2 in range(q) if c2 != c), tuple(r2 * q + c for r2 in range(p) if r2 != r))
         for r, c in cells
     )
     rectangles = tuple(

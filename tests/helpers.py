@@ -238,6 +238,34 @@ def brute_row_partition(k: Graph, p: int, q: int) -> bool:
     )
 
 
+def least_first_row_partition(k: Graph, p: int, q: int) -> bool:
+    """Whether the vertices split into p independent q-sets, by a least-first search.
+
+    Each block starts at the least unused vertex and takes its other members
+    in ascending order, so each partition is tried once. No capacity cut:
+    the reference for the library's search, which opens blocks elsewhere.
+    """
+    if k.n != p * q:
+        return False
+    adj = k.rows
+
+    def fill(unused: int, need: int, cand: int) -> bool:
+        if need == 0:
+            if not unused:
+                return True
+            low = unused & -unused
+            rest = unused ^ low
+            return fill(rest, q - 1, rest & ~adj[low.bit_length() - 1])
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if fill(unused ^ low, need - 1, cand & ~adj[low.bit_length() - 1]):
+                return True
+        return False
+
+    return fill((1 << k.n) - 1, 0, 0)
+
+
 @lru_cache(maxsize=None)
 def _row_splits(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Every split of range(p * q) into p sorted q-sets, each listed once."""

@@ -38,6 +38,7 @@ from .helpers import (
     canonical_valid_labelings,
     every_graph,
     is_canonical,
+    least_first_row_partition,
     naive_least_labeling,
     random_graph,
     twins_in_order,
@@ -88,6 +89,53 @@ def test_row_partition_matches_brute_force():
         assert has_independent_row_partition(k, GridShape(p, q)) == expected
         verdicts.add((p, q, expected))
     assert len(verdicts) == 12  # every shape has graphs with and without a partition
+
+
+def test_row_partition_matches_least_first_on_the_recognize_recipe():
+    # permuted members split by construction; one-edge-moved near-members may not
+    rng = random.Random(137)
+    verdicts = set()
+    for p, q in ((4, 4), (4, 5)):
+        shape = GridShape(p, q)
+        quads = list(pair_quadruples(shape))
+        for share in (0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0) * 4:
+            k = graph_from_quadruples(shape, rng.sample(quads, round(share * len(quads))))
+            g = _permuted(rng, k)
+            assert has_independent_row_partition(g, shape)
+            assert least_first_row_partition(g, p, q)
+            g = _permuted(rng, _moved_edge(rng, k))
+            expected = least_first_row_partition(g, p, q)
+            assert has_independent_row_partition(g, shape) == expected
+            verdicts.add((p, q, expected))
+    # a moved edge rarely leaves a 4x4 member without a partition, but often at 4x5
+    assert verdicts == {(4, 4, True), (4, 5, True), (4, 5, False)}
+
+
+def test_row_partition_capacity_cut():
+    # Rows are blocks of q consecutive vertices, and the base graph has edges
+    # only across them. A vertex v adjacent to all but its q - 1 block mates
+    # forces its block; one more edge leaves v no block. A vertex w of another
+    # block, joined to one of its own mates and to every vertex outside v's
+    # block, then has no block either, once v's block is taken.
+    rng = random.Random(139)
+    for p, q in ((2, 3), (3, 3), (3, 4), (4, 4)):
+        shape = GridShape(p, q)
+        n = p * q
+        across = [(u, v) for u, v in combinations(range(n), 2) if u // q != v // q]
+        for _ in range(10):
+            edges = set(rng.sample(across, len(across) // 2))
+            v = rng.randrange(n)
+            w = rng.choice([u for u in range(n) if u // q != v // q])
+            mates = [u for u in range(n) if u // q == v // q and u != v]
+            edges |= {(min(u, v), max(u, v)) for u in range(n) if u // q != v // q}
+            w_mate = next(u for u in range(n) if u // q == w // q and u != w)
+            w_edges = {(min(u, w), max(u, w)) for u in range(n) if u // q not in (v // q, w // q) or u == w_mate}
+            for extra, expected in (((), True), ({(min(v, mates[0]), max(v, mates[0]))}, False), (w_edges, False)):
+                g = _permuted(rng, new_graph(n, edges | set(extra)))
+                assert least_first_row_partition(g, p, q) == expected
+                if n <= 12:
+                    assert brute_row_partition(g, p, q) == expected
+                assert has_independent_row_partition(g, shape) == expected
 
 
 def test_recognize_raises_on_wrong_count():

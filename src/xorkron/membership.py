@@ -13,17 +13,18 @@ and every row pair reads the same with i and i2 swapped, so each cross has
 both diagonals or neither. The set bits are then the summands, already in
 sorted order; only a rejected graph walks its edges, to name its witness.
 
-The module also holds the labeling search, which verify_certificate reruns to
-check a non-member witness. A labeling is valid iff the grid rows and columns
-are independent sets and every edge rectangle is closed (both diagonals
-present or both absent). Labelings compare as tuples of cells indexed by
-vertex. Validity is unchanged by renumbering rows or columns, so each
-renumbering orbit has one least, canonical member: rows and columns numbered
-in order of first use along v = 0, 1, .... valid_labelings places vertices in
-that order, least cell first, and only on canonical positions, so its leaves
-come out canonical and in increasing order, and the first one is the least
-valid labeling. Its completion check places the unplaced vertices in any
-order, but prunes only branches that hold no leaf, so the sequence stays.
+The module also holds the labeling search. verify_certificate checks a
+search-exhausted witness by asking it whether any valid labeling exists. A
+labeling is valid iff the grid rows and columns are independent sets and every
+edge rectangle is closed (both diagonals present or both absent). Labelings
+compare as tuples of cells indexed by vertex. Validity is unchanged by
+renumbering rows or columns, so each renumbering orbit has one least,
+canonical member: rows and columns numbered in order of first use along
+v = 0, 1, .... valid_labelings places vertices in that order, least cell
+first, and only on canonical positions, so its leaves come out canonical and
+in increasing order, and the first one is the least valid labeling. Its root
+splits and its completion check prune only searches and branches that hold
+no leaf, so the sequence stays.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import tensor_elementary, two_sum
 from .graphs import Graph, graph6_decode, graph6_encode
@@ -453,17 +454,22 @@ def census(shape: GridShape) -> Iterator[Graph]:
 def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:
     """True iff the vertex set splits into p independent sets of size q."""
     p, q = shape
-    if k.n != p * q:
-        return False
+    return k.n == p * q and _independent_split(k, q, 0)
+
+
+def _independent_split(k: Graph, size: int, odd: int) -> bool:
+    """True iff the vertex set splits into independent sets of size, each holding evenly many vertices of odd."""
     adj = k.rows
 
-    def fill(unused: int, need: int, cand: int) -> bool:
+    def fill(unused: int, need: int, cand: int, par: bool) -> bool:
         """True iff the open block takes need more vertices from cand and unused then splits.
 
+        par is whether the open block holds oddly many vertices of odd, so
+        its last vertex comes from the side of odd that makes the count even.
         Each block opens at the unused vertex with the fewest unused
         non-neighbours, itself included, and takes its other members from
         them in ascending order. Any opener is complete: every split of unused
-        puts it in a block of q of those vertices, so fewer than q admit none.
+        puts it in a block of size of those vertices, so fewer admit none.
         """
         if need == 0:
             if not unused:
@@ -476,18 +482,20 @@ def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:
                 r = (unused & ~adj[low.bit_length() - 1]).bit_count()
                 if r < room:
                     room, opener = r, low
-            if room < q:
+            if room < size:
                 return False
             rest = unused ^ opener
-            return fill(rest, q - 1, rest & ~adj[opener.bit_length() - 1])
+            return fill(rest, size - 1, rest & ~adj[opener.bit_length() - 1], bool(opener & odd))
+        if need == 1:
+            cand &= odd if par else ~odd
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
-            if fill(unused ^ low, need - 1, cand & ~adj[low.bit_length() - 1]):
+            if fill(unused ^ low, need - 1, cand & ~adj[low.bit_length() - 1], par ^ bool(low & odd)):
                 return True
         return False
 
-    return fill((1 << k.n) - 1, 0, 0)
+    return fill((1 << k.n) - 1, 0, 0, False)
 
 
 def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
@@ -499,6 +507,14 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
     renumbering columns and swapping false twins, since each orbit's least
     member is among them; an orbit may also show up more than once. None of
     these moves changes validity or the relabeled graph's summand-count rank.
+
+    Each cross adds two to the degree sum of each of its two grid rows and
+    each of its two grid columns, so under a valid labeling every row and
+    every column holds evenly many odd-degree vertices. So the search first
+    splits the vertices into p independent q-sets and into q independent
+    p-sets (one split when p == q), each holding evenly many odd-degree
+    vertices, and yields nothing if either split fails. Each split is
+    necessary, so a failed one skips only a search without a leaf.
 
     Depth-first search over vertices 0, 1, ..., n-1. Vertex v tries cells in
     increasing order, but only rows and columns already in use or the next
@@ -575,15 +591,28 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
       leaves, such as one that never backtracks, never pays for it. Both
       rules only skip checks, so they prune nothing.
     """
+    yield from _labeling_search(k, shape)[0]()
+
+
+def _labeling_search(
+    k: Graph, shape: GridShape
+) -> tuple[Callable[[], Iterator[GridLabeling]], Callable[[], bool]]:
+    """valid_labelings' search as (its labelings, whether some valid labeling exists).
+
+    Past the root splits, the existence test is the completion check of the
+    empty placement: it asks for any valid labeling, not the least one.
+    """
     p, q = shape
     n = k.n
     if n != p * q:
         raise ValueError(f"graph has {n} vertices, labelings need {p * q}")
     adj = k.rows
-    full = (1 << n) - 1
-    lines, rectangles = _grid_geometry(p, q)
     degree = [row.bit_count() for row in adj]
     odd_degree = sum(1 << v for v in range(n) if degree[v] & 1)
+    if not (_independent_split(k, q, odd_degree) and (p == q or _independent_split(k, p, odd_degree))):
+        return lambda: iter(()), lambda: False
+    full = (1 << n) - 1
+    lines, rectangles = _grid_geometry(p, q)
     deg_at_least = [0] * (n + 1)  # mask of the vertices of degree at least d
     for v in range(n):
         for d in range(degree[v] + 1):
@@ -809,7 +838,8 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
             yield from place(v + 1, after, *below, found)
             dead += leaves == before
 
-    yield from place(0, [full] * n + [0] * n, 0, 0, 0, None)
+    root = [full] * n + [0] * n
+    return lambda: place(0, root, 0, 0, 0, None), lambda: complete(root, full, 0, 0, 0) is not None
 
 
 @lru_cache(maxsize=None)
@@ -843,7 +873,10 @@ def verify_certificate(cert: Certificate) -> list[str]:
     An empty list means the certificate is internally consistent and its
     verdict matches a recomputation from the graph it embeds. A member's
     graph is relabeled by its labeling unless that labeling equals the
-    identity; the identity skips only the relabel, never a check.
+    identity; the identity skips only the relabel, never a check. A
+    search-exhausted witness is checked by existence: the root splits of
+    valid_labelings, then the completion check of the empty placement, which
+    asks for any valid labeling rather than the least one.
     """
     problems: list[str] = []
     k = cert.graph
@@ -918,6 +951,6 @@ def verify_certificate(cert: Certificate) -> list[str]:
             if has_independent_row_partition(k, shape):
                 problems.append("no-partition witness but an independent row partition exists")
         elif w.reason == REASON_SEARCH_EXHAUSTED:
-            if next(valid_labelings(k, shape), None) is not None:
+            if _labeling_search(k, shape)[1]():
                 problems.append("search-exhausted witness but a full search finds a valid labeling")
     return problems

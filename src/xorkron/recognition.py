@@ -1,15 +1,18 @@
 """Unlabeled recognition: search for a grid labeling that certifies membership.
 
 recognize first runs the labeling-independent prefilter, then takes the least
-valid labeling from membership.valid_labelings, the search that also checks
-non-member certificates, and certifies the graph it relabels with
-membership.is_spanning_cross_like. Once that search has met more dead ends than
-the graph has vertices, each branch it would descend into must first pass a
-completion check: a second search by the same expansion step, placing the most
-constrained vertices first, for any valid labeling that extends the branch. A
-branch without one holds no leaf and is skipped. So non-members that pass the
-prefilter and sparse members with many isolated vertices take milliseconds
-rather than seconds, though recognition stays exponential in the worst case.
+valid labeling from membership.valid_labelings and certifies the graph it
+relabels with membership.is_spanning_cross_like. That search yields nothing
+unless the vertices split into independent grid rows and into independent grid
+columns, each holding evenly many odd-degree vertices. Once it has met more
+dead ends than the graph has vertices, each branch it would descend into must
+first pass a completion check: a second search by the same expansion step,
+placing the most constrained vertices first, for any valid labeling that
+extends the branch. A branch without one holds no leaf and is skipped.
+verify_certificate checks a search-exhausted verdict by the root splits and the
+completion check of the empty placement, without the least-first search.
+Recognition stays exponential in the worst case: a sparse member whose
+isolated vertices come first can take seconds.
 """
 
 from __future__ import annotations

@@ -224,8 +224,9 @@ def _assignment_valid(k: Graph, cells, q: int) -> bool:
     return True
 
 
-def brute_row_partition(k: Graph, p: int, q: int) -> bool:
-    """Whether some split of the vertices into p sets of q has no edge inside a set.
+def brute_row_partition(k: Graph, p: int, q: int, odd: int = 0) -> bool:
+    """Whether some split of the vertices into p sets of q has no edge inside a set
+    and evenly many vertices of the mask odd in each set.
 
     Tries every such split and tests each of its sets; no pruning.
     """
@@ -233,7 +234,11 @@ def brute_row_partition(k: Graph, p: int, q: int) -> bool:
         return False
     edges = set(k.edges())
     return any(
-        all(pair not in edges for block in split for pair in combinations(block, 2))
+        all(
+            all(pair not in edges for pair in combinations(block, 2))
+            and sum((odd >> v) & 1 for v in block) % 2 == 0
+            for block in split
+        )
         for split in _row_splits(p, q)
     )
 

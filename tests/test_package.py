@@ -184,3 +184,31 @@ def test_the_labeling_search_has_no_knob():
     assert list(inspect.signature(xorkron.recognize).parameters) == ["k", "shape"]
     assert len(xorkron.__all__) == 36
     assert [name for name in vars(membership) if "complet" in name.lower()] == []
+
+
+def _membership_functions() -> dict[str, ast.FunctionDef]:
+    tree = ast.parse((SRC / "xorkron" / "membership.py").read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(func: ast.AST) -> set[str]:
+    return {ast.unparse(sub.func) for sub in ast.walk(func) if isinstance(sub, ast.Call)}
+
+
+def test_one_split_search_serves_the_row_partition_and_the_root_splits():
+    # The row test is the split with no parity mask; valid_labelings' root splits pass the odd-degree mask.
+    fills = []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                fills += [(path.stem, func.name) for sub in func.body if getattr(sub, "name", None) == "fill"]
+    assert fills == [("membership", "_independent_split")]
+    funcs = _membership_functions()
+    callers = sorted(name for name, func in funcs.items() if "_independent_split" in _calls(func))
+    assert callers == ["_labeling_search", "has_independent_row_partition"]
+
+
+def test_verify_checks_search_exhausted_by_existence():
+    # verify_certificate asks whether some valid labeling exists, never for the least one.
+    calls = _calls(_membership_functions()["verify_certificate"])
+    assert "valid_labelings" not in calls and "_labeling_search" in calls

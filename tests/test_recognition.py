@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import inspect
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
 from xorkron import (
+    Certificate,
     GridShape,
+    Witness,
     census,
+    graph6_decode,
     graph_from_quadruples,
     has_independent_row_partition,
     is_spanning_cross_like,
@@ -22,12 +25,14 @@ from xorkron import (
     valid_labelings,
     verify_certificate,
 )
+from xorkron import membership
 from xorkron.membership import (
     REASON_EDGE_BOUND,
     REASON_NO_PARTITION,
     REASON_ODD_EDGES,
     REASON_SEARCH_EXHAUSTED,
     GridLabeling,
+    _independent_split,
     find_violation,
     pair_quadruples,
 )
@@ -89,6 +94,46 @@ def test_row_partition_matches_brute_force():
         assert has_independent_row_partition(k, GridShape(p, q)) == expected
         verdicts.add((p, q, expected))
     assert len(verdicts) == 12  # every shape has graphs with and without a partition
+
+
+def _odd_degree(k) -> int:
+    return sum(1 << v for v in range(k.n) if k.rows[v].bit_count() & 1)
+
+
+def test_parity_split_matches_brute_force():
+    # valid_labelings' root splits: into grid rows (blocks of q) and grid columns (blocks of p), each
+    # block holding evenly many odd-degree vertices; the seeded graphs also take a random mask of even
+    # size (an odd one admits no split)
+    rng = random.Random(149)
+    cases = [(k, 2, 2, _odd_degree(k)) for k in every_graph(4)]
+    cases += [(k, 2, 3, _odd_degree(k)) for k in every_graph(6)]
+    for p, q, count in ((3, 3, 100), (2, 4, 100), (3, 4, 30)):
+        for _ in range(count):
+            k = random_graph(rng, p * q, rng.choice((0.2, 0.35, 0.5)))
+            mask = rng.getrandbits(p * q)
+            cases += [(k, p, q, _odd_degree(k)), (k, p, q, mask ^ mask.bit_count() % 2)]
+    verdicts = set()
+    for k, p, q, odd in cases:
+        for blocks, size in ((p, q), (q, p)):
+            expected = brute_row_partition(k, blocks, size, odd)
+            assert _independent_split(k, size, odd) == expected
+            verdicts.add((p, q, size, expected))
+    assert len(verdicts) == 16  # every shape and block size has graphs with and without a split
+
+
+def test_parity_split_refutes_graphs_with_a_plain_split():
+    # the path 0-1-2-3 splits into independent pairs only as {0, 2}, {1, 3}, one odd end in each
+    path = standard_graph("path", 4)
+    assert has_independent_row_partition(path, GridShape(2, 2))
+    assert brute_row_partition(path, 2, 2) and not brute_row_partition(path, 2, 2, _odd_degree(path))
+    assert not _independent_split(path, 2, _odd_degree(path))
+    # a permuted 3x4 near-member that passes the prefilter but splits into neither rows nor columns
+    k = graph6_decode("KB?AGA_@KGC_")
+    assert prefilter(k, GridShape(3, 4)) is None and brute_row_partition(k, 3, 4)
+    for blocks, size in ((3, 4), (4, 3)):
+        assert not brute_row_partition(k, blocks, size, _odd_degree(k))
+        assert not _independent_split(k, size, _odd_degree(k))
+    assert next(valid_labelings(k, GridShape(3, 4)), None) is None
 
 
 def test_row_partition_matches_least_first_on_the_recognize_recipe():
@@ -276,19 +321,58 @@ def test_valid_labelings_against_brute_force():
         assert got[:1] == sorted(brute)[:1]
     # the completion check seldom runs below (3, 3); there and at (2, 5) the 9! and 10! bijections
     # are too many, so the canonical assignments stand in for them and the naive search for the least labeling
+    for g, p, q in _sparse_cases():
+        got = [lab.cells for lab in valid_labelings(g, GridShape(p, q))]
+        assert got == canonical_valid_labelings(g, p, q)
+        least = naive_least_labeling(g, p, q)
+        assert got[:1] == ([least] if least else [])
+
+
+def _sparse_cases():
+    """Permuted sparse members at (3, 3) and (2, 5), each followed by a one-edge-moved near-member."""
     rng = random.Random(127)
     cases = [(GridShape(3, 3), size) for size in (1, 2, 2, 3, 3, 4, 4, 5) * 2]
     # sparse members rich in isolated vertices, where naked and hidden singles narrow most
     cases += [(GridShape(2, 5), size) for size in (1, 1, 2, 2, 3, 3)] + [(GridShape(3, 3), 1)] * 4
     for shape, size in cases:
-        p, q = shape
         k = graph_from_quadruples(shape, rng.sample(list(pair_quadruples(shape)), size))
         for g in (k, _moved_edge(rng, k)):
-            g = _permuted(rng, g)
-            got = [lab.cells for lab in valid_labelings(g, shape)]
-            assert got == canonical_valid_labelings(g, p, q)
-            least = naive_least_labeling(g, p, q)
-            assert got[:1] == ([least] if least else [])
+            yield _permuted(rng, g), *shape
+
+
+def _refuted_by_verify(g, shape) -> bool:
+    """Whether verify_certificate accepts the claim that no labeling makes g a member."""
+    return verify_certificate(Certificate(False, shape, g, witness=Witness(REASON_SEARCH_EXHAUSTED))) == []
+
+
+@pytest.mark.parametrize("root_splits", [True, False], ids=["root-splits", "no-root-splits"])
+def test_existence_check_agrees_with_enumeration(monkeypatch, root_splits):
+    # verify_certificate asks the completion check of the empty placement; with the root splits
+    # patched to pass, that check alone has to agree too
+    if not root_splits:
+        monkeypatch.setattr(membership, "_independent_split", lambda k, size, odd: True)
+    verdicts = set()
+    for g, p, q in chain(_small_cases(random.Random(103)), _sparse_cases()):
+        member = bool(canonical_valid_labelings(g, p, q))
+        assert _refuted_by_verify(g, GridShape(p, q)) == (not member)
+        verdicts.add(member)
+    assert verdicts == {True, False}
+
+
+def test_existence_check_agrees_with_the_least_first_search_on_4_4_and_4_5():
+    rng = random.Random(151)
+    verdicts = set()
+    for p, q in ((4, 4), (4, 5)):
+        shape = GridShape(p, q)
+        quads = list(pair_quadruples(shape))
+        for share in (0.3, 0.5, 0.7, 0.9) * 2:
+            k = graph_from_quadruples(shape, rng.sample(quads, round(share * len(quads))))
+            for g in (k, _moved_edge(rng, k)):
+                g = _permuted(rng, g)
+                member = next(valid_labelings(g, shape), None) is not None
+                assert _refuted_by_verify(g, shape) == (not member)
+                verdicts.add((p, q, member))
+    assert len(verdicts) == 4
 
 
 def _recognized_cells(g, shape):

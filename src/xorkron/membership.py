@@ -8,10 +8,12 @@ graphs decompose into two-edge "cross" summands, one per edge rectangle.
 The decision reads the pair matrix straight off the adjacency rows: row
 (i, i2) is the OR over columns j of ((rows[i*q+j] >> (i2*q+j+1)) & mask_j)
 << off_j, whose bit for column pair (j, j2) says whether (i, j) ~ (i2, j2).
-k is a member iff no vertex has a neighbour in its own grid row or column
-and every row pair reads the same with i and i2 swapped, so each cross has
-both diagonals or neither. The set bits are then the summands, already in
-sorted order; only a rejected graph walks its edges, to name its witness.
+That read and its swap (i and i2 exchanged) see each edge between distinct
+rows and columns once, so k is a member iff row pairs read the same both ways
+and the graph has twice as many edges as the pair matrix has bits. The
+summands come off the same reads in sorted order, and the one per-shape table
+is their C(p,2)*(q-1) terms; only a rejected graph walks its edges, to name
+its witness.
 
 The module also holds the labeling search. verify_certificate checks a
 search-exhausted witness by asking it whether any valid labeling exists. A
@@ -295,48 +297,37 @@ def _edge_defect(k: Graph, q: int, u: int, v: int) -> str | None:
 
 
 @lru_cache(maxsize=None)
-def _pair_layout(p: int, q: int) -> tuple[tuple, tuple]:
-    """Tables for _pair_rows at shape (p, q), with no per-cross entry.
+def _pair_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The reads of _pair_rows at shape (p, q): C(p,2)*(q-1) terms, none per cross.
 
-    lines[v] masks v's grid row and column. reads[r] holds, for the r-th row
-    pair (i, i2) of combinations order, one term (i*q + j, i2*q + j + 1,
-    i2*q + j, i*q + j + 1, mask_j, off_j) per column j < q - 1, where
-    mask_j = (1 << (q-1-j)) - 1 and off_j = j(q-1) - j(j-1)/2, the sum of
-    q-1-t over t < j, is the index of column pair (j, j+1). No cross is listed
-    here: _cross_table holds them for the shapes whose members are read out.
+    reads[r] holds, for the r-th row pair (i, i2) of combinations order, one
+    term (i*q + j, i2*q + j + 1, i2*q + j, i*q + j + 1, mask_j, off_j) per
+    column j < q - 1, where mask_j = (1 << (q-1-j)) - 1 and off_j = j(q-1) -
+    j(j-1)/2, the sum of q-1-t over t < j, is the index of column pair
+    (j, j+1). Bit t of (rows[i*q + j] >> (i2*q + j + 1)) & mask_j says whether
+    (i, j) ~ (i2, j + 1 + t).
     """
-    column = [sum(1 << (r * q + j) for r in range(p)) for j in range(q)]
-    lines = tuple(((1 << q) - 1) << (v - v % q) | column[v % q] for v in range(p * q))
     mask_off = [((1 << (q - 1 - j)) - 1, j * (q - 1) - j * (j - 1) // 2) for j in range(q - 1)]
-    reads = tuple(
+    return tuple(
         tuple((i * q + j, i2 * q + j + 1, i2 * q + j, i * q + j + 1, *mask_off[j]) for j in range(q - 1))
         for i, i2 in combinations(range(p), 2)
     )
-    return lines, reads
-
-
-@lru_cache(maxsize=None)
-def _cross_table(p: int, q: int) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
-    """[r][t] is the cross (i, i2, j, j2) of the r-th row pair and t-th column pair."""
-    col_pairs = tuple(combinations(range(q), 2))
-    return tuple(tuple(rp + cp for cp in col_pairs) for rp in combinations(range(p), 2))
 
 
 def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
     """Pair matrix of k under the grid labeling, or None when k is not a labeled member.
 
     The read-off and member test of the module docstring: row (i, i2) holds the
-    edges (i, j) ~ (i2, j2), j < j2, and its swapped read the other diagonals.
+    edges (i, j) ~ (i2, j2), j < j2, and its swapped read the other diagonals;
+    k is a member iff row pairs read the same both ways and k has twice as many
+    edges as the pair matrix has bits, none left for a grid row or column.
     """
     p, q = shape
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
     rows = k.rows
-    lines, reads = _pair_layout(p, q)
-    if any(map(int.__and__, rows, lines)):
-        return None
     out = []
-    for terms in reads:
+    for terms in _pair_layout(p, q):
         here = there = 0
         for x, sx, y, sy, mask, off in terms:
             here |= ((rows[x] >> sx) & mask) << off
@@ -344,6 +335,8 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
         if here != there:
             return None
         out.append(here)
+    if k.edge_count != 2 * sum(map(int.bit_count, out)):
+        return None
     return tuple(out)
 
 
@@ -356,25 +349,25 @@ def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
     return pairs
 
 
-def _summands(pairs: tuple[int, ...], shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
-    """The crosses (i, i2, j, j2) whose bits are set in a pair matrix, sorted; no table for an edgeless one."""
-    if not any(pairs):
-        return ()
+def _summands(k: Graph, shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
+    """The crosses (i, i2, j, j2) of a labeled member k, sorted, read off its rows by the reads of _pair_rows."""
+    rows = k.rows
     out = []
-    for quads, m in zip(_cross_table(shape.p, shape.q), pairs):
-        while m:
-            low = m & -m
-            out.append(quads[low.bit_length() - 1])
-            m ^= low
+    for (i, i2), terms in zip(combinations(range(shape.p), 2), _pair_layout(*shape)):
+        for j, (x, sx, _, _, mask, _) in enumerate(terms):
+            m = (rows[x] >> sx) & mask
+            while m:
+                low = m & -m
+                out.append((i, i2, j, j + low.bit_length()))
+                m ^= low
     return tuple(out)
 
 
 def is_spanning_cross_like(k: Graph, shape: GridShape) -> Certificate:
     """Decide labeled membership for k under the identity grid labeling."""
-    pairs = _pair_rows(k, shape)
-    if pairs is None:
+    if _pair_rows(k, shape) is None:
         return Certificate(False, shape, k, witness=_first_defect(k, shape.q))
-    quads = _summands(pairs, shape)
+    quads = _summands(k, shape)
     return Certificate(
         True,
         shape,
@@ -392,7 +385,8 @@ def elementary_decomposition(k: Graph, shape: GridShape) -> tuple[tuple[int, int
     quadruples toggle disjoint edge pairs, so XOR of the corresponding
     two-edge graphs reproduces k exactly. Raises on a non-member.
     """
-    return _summands(_member_pair_rows(k, shape), shape)
+    _member_pair_rows(k, shape)
+    return _summands(k, shape)
 
 
 def edge_bound_check(k: Graph, shape: GridShape) -> tuple[int, bool]:
@@ -409,7 +403,7 @@ def edge_bound_check(k: Graph, shape: GridShape) -> tuple[int, bool]:
 
 def pair_quadruples(shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
     """All C(p,2)*C(q,2) cross quadruples (i, i2, j, j2), in sorted order."""
-    return tuple(quad for row in _cross_table(shape.p, shape.q) for quad in row)
+    return tuple(rp + cp for rp in combinations(range(shape.p), 2) for cp in combinations(range(shape.q), 2))
 
 
 def graph_from_quadruples(

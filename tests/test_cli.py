@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import xorkron
 from xorkron import (
     GridShape,
+    format_edge_list,
     graph6_decode,
     graph6_encode,
     graph_from_quadruples,
@@ -170,6 +171,19 @@ def test_t2_ranks_past_the_old_oracle_bound_and_has_no_oracle_flag(capsys):
         code, out, err = run(capsys, "t2", "--p", str(p), "--q", str(q), graph, "--oracle")
         assert code == 2 and out == ""
         assert err.startswith("usage: ") and err.endswith(": error: unrecognized arguments: --oracle\n")
+
+
+def test_t2_of_a_two_cross_member_at_a_wide_shape_is_quick(tmp_path, capsys):
+    # its second cross sets the last of the 12.5M pair-matrix bits; no table of that size is built
+    k = graph_from_quadruples(GridShape(2, 5000), [(0, 1, 0, 4999), (0, 1, 4998, 4999)])
+    path = tmp_path / "member.txt"
+    path.write_text(format_edge_list(k), encoding="ascii")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "t2", "--p", "2", "--q", "5000", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert '"t2": 1' in out
+    assert elapsed < 1.0, f"t2 at (2, 5000) took {elapsed:.2f} s"
 
 
 def test_ppt_check_and_dump(capsys):

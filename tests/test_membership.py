@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -40,6 +41,7 @@ from xorkron import (
     pair_quadruples,
     recognize,
     standard_graph,
+    t2_exact,
     tensor_product,
     two_sum,
     verify_certificate,
@@ -311,15 +313,33 @@ def test_empty_decomposition_flag():
     assert Certificate.from_json(cert.to_json()) == cert
 
 
-def test_edgeless_member_at_a_wide_shape_builds_no_cross_table():
-    # the cross table holds C(p,2)*C(q,2) tuples: about 12.5M here, which took 13 s and 2 GB to build
-    tables = membership._cross_table.cache_info().currsize
-    start = time.perf_counter()
-    cert = is_spanning_cross_like(standard_graph("edgeless", 10000), GridShape(2, 5000))
-    elapsed = time.perf_counter() - start
-    assert cert.verdict and cert.summands == () and cert.empty_decomposition
-    assert membership._cross_table.cache_info().currsize == tables
-    assert elapsed < 1.0, f"is_spanning_cross_like(E10000, (2, 5000)) took {elapsed:.2f} s"
+def _within_budget(f, *args):
+    """f(*args), asserting it took under 1 s and a tracemalloc peak under 50 MB."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        value = f(*args)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0, f"{f.__name__} took {elapsed:.2f} s"
+    assert peak < 50 * 2**20, f"{f.__name__} peaked at {peak / 2**20:.0f} MB"
+    return value
+
+
+def test_members_at_a_wide_shape_are_decided_within_budget():
+    # nothing of C(p,2)*C(q,2) size may be built: a table of the 12.5M crosses here took
+    # 13 s and 2 GB, for the edgeless member and for one whose last cross sets the last bit
+    shape = GridShape(2, 5000)
+    edgeless = standard_graph("edgeless", 10000)
+    quads = ((0, 1, 0, 4999), (0, 1, 4998, 4999))
+    for k, summands, t2 in ((edgeless, (), 2), (graph_from_quadruples(shape, quads), quads, 1)):
+        cert = _within_budget(is_spanning_cross_like, k, shape)
+        assert cert.verdict and cert.summands == summands
+        assert cert.empty_decomposition == (not summands)
+        assert _within_budget(t2_exact, k, shape) == t2
+        assert _within_budget(verify_certificate, cert) == []
 
 
 def _writer_corpus() -> list[Certificate]:
@@ -638,11 +658,17 @@ def test_verify_certificate_names_each_false_claim(cert, problem):
 
 def _seeded_members_toggled(shape: GridShape, count: int):
     rng = random.Random(f"read-off:{shape.p}x{shape.q}")
+    # the same-row and same-column edges leave every pair read as it was: only the edge count shows them
+    lines = random.Random(f"read-off-lines:{shape.p}x{shape.q}")
+    p, q = shape
     quads = pair_quadruples(shape)
     for _ in range(count):
         k = graph_from_quadruples(shape, [quad for quad in quads if rng.random() < rng.random()])
         yield k
         yield two_sum(k, new_graph(k.n, [rng.sample(range(k.n), 2)]))
+        i, i2 = lines.sample(range(p), 2)
+        j, j2 = lines.sample(range(q), 2)
+        yield two_sum(k, new_graph(k.n, [(i * q + j, i * q + j2), (i * q + j, i2 * q + j)]))
 
 
 def _read_off_corpus(name: str):

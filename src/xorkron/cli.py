@@ -1,7 +1,8 @@
 """Command-line front end: verdicts via exit codes, data via stdout.
 
 Exit codes: 0 affirmative or success, 1 negative verdict, 2 usage or input
-error. Labeled commands read vertex v as grid cell (v div q, v mod q).
+error, 70 (EX_SOFTWARE) an internal error, which no verdict uses. Labeled
+commands read vertex v as grid cell (v div q, v mod q).
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
             "summands, and probe the partial-transpose fixed point. Labeled "
             "commands read vertex v as grid cell (v div q, v mod q)."
         ),
-        epilog=GRAPH_TOKEN_HELP + ". Exit codes: 0 affirmative, 1 negative verdict, 2 error.",
+        epilog=GRAPH_TOKEN_HELP + ". Exit codes: 0 affirmative, 1 negative verdict, 2 error, 70 internal error.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -275,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: not enough memory for this input", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault, not a verdict: one line and EX_SOFTWARE, never exit 1
+        print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+        return 70
 
 
 def entry() -> None:

@@ -32,9 +32,13 @@ class Graph:
     products and relabeling keep a matrix symmetric with a zero diagonal;
     new_graph and graph6_decode check their own input instead. So equality,
     XOR and neighborhood tests on any Graph are word-wise integer operations.
+
+    edge_count counts the row bits on first use and keeps the result, so each
+    graph is counted at most once; a builder that already knows the count,
+    such as census, hands it to _trusted and the graph is never counted.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_edge_count")
 
     def __init__(self, n: int, rows: Sequence[int]) -> None:
         if n < 0:
@@ -57,13 +61,19 @@ class Graph:
                 m &= m - 1
         self.n = n
         self.rows = rows
+        self._edge_count = None
 
     @classmethod
-    def _trusted(cls, n: int, rows: Iterable[int]) -> Graph:
-        """Wrap n rows already known to be in range, symmetric and loop-free."""
+    def _trusted(cls, n: int, rows: Iterable[int], edge_count: int | None = None) -> Graph:
+        """Wrap n rows already known to be in range, symmetric and loop-free.
+
+        edge_count, when given, must be the graph's edge count; it is kept
+        instead of counted.
+        """
         g = object.__new__(cls)
         g.n = n
         g.rows = tuple(rows)
+        g._edge_count = edge_count
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -71,7 +81,10 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(map(int.bit_count, self.rows)) >> 1
+        count = self._edge_count
+        if count is None:
+            count = self._edge_count = sum(map(int.bit_count, self.rows)) >> 1
+        return count
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""

@@ -32,9 +32,10 @@ no leaf, so the sequence stays.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
+from struct import Struct
 from typing import Callable, Iterator, Sequence
 
 from .algebra import tensor_elementary, two_sum
@@ -59,26 +60,26 @@ _ALL_REASONS = (
 
 @dataclass(frozen=True)
 class GridShape:
-    """Factor sizes (p, q) of a p x q grid; both must be at least 2."""
+    """Factor sizes (p, q) of a p x q grid; both must be at least 2.
+
+    order, the vertex count p*q, and edge_bound, the largest edge count any
+    member of this shape can have, are worked out once, when the shape is made.
+    """
 
     p: int
     q: int
+    order: int = field(init=False, repr=False, compare=False)
+    edge_bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.p < 2 or self.q < 2:
-            raise ValueError(f"grid shape needs p, q >= 2, got ({self.p}, {self.q})")
+        p, q = self.p, self.q
+        if p < 2 or q < 2:
+            raise ValueError(f"grid shape needs p, q >= 2, got ({p}, {q})")
+        object.__setattr__(self, "order", p * q)
+        object.__setattr__(self, "edge_bound", 2 * (p * (p - 1) // 2) * (q * (q - 1) // 2))
 
     def __iter__(self) -> Iterator[int]:
         return iter((self.p, self.q))
-
-    @property
-    def order(self) -> int:
-        return self.p * self.q
-
-    @property
-    def edge_bound(self) -> int:
-        """Largest edge count any member graph of this shape can have."""
-        return 2 * (self.p * (self.p - 1) // 2) * (self.q * (self.q - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -424,25 +425,37 @@ def census(shape: GridShape) -> Iterator[Graph]:
     quadruple count; the most significant bit selects the first quadruple in
     sorted order. Member count is exactly 2^m.
 
-    Members are built incrementally in one list of rows: the step from c - 1
-    to c toggles the crosses of the bits that change, those of c ^ (c - 1),
-    about two per step on average. Toggling a cross is four row-bit XORs,
-    both diagonals in both directions. Each member gets its own copy of the rows.
+    All n = p*q rows live in one int, row w at bit w*width, width a whole
+    number of bytes. The step from c - 1 to c toggles the crosses of the bits
+    that change, bits 0..b of c ^ (c - 1), so it is one XOR with delta[b],
+    the XOR of those crosses' four row bits (both diagonals in both
+    directions). One unpack of the int's bytes reads the rows back out, and
+    each member is handed its edge count, two per cross of c.
     """
     p, q = shape
     n = p * q
-    # toggles[b] flips the cross bit b selects; the low bits take the last quadruples
-    toggles = []
+    if n <= 64:  # one struct call, each row in the least of B, H, I, Q that holds n bits
+        width = max(8, 1 << (n - 1).bit_length())
+        unpack = Struct(f"<{n}{'BHIQ'[(width // 8).bit_length() - 1]}").unpack
+    else:  # one int per byte slice
+        step = -(-n // 8)
+        width, starts = 8 * step, range(0, n * step, step)
+
+        def unpack(data: bytes) -> list[int]:
+            return [int.from_bytes(data[a:a + step], "little") for a in starts]
+
+    size = n * width // 8
+    # delta[b] toggles the crosses of bits 0..b; the low bits take the last quadruples
+    delta, acc = [], 0
     for i, i2, j, j2 in reversed(pair_quadruples(shape)):
         u, v, x, y = i * q + j, i2 * q + j2, i * q + j2, i2 * q + j
-        toggles.append(((u, 1 << v), (v, 1 << u), (x, 1 << y), (y, 1 << x)))
-    rows = [0] * n
-    yield Graph._trusted(n, rows)
-    for c in range(1, 1 << len(toggles)):
-        for b in range((c ^ (c - 1)).bit_length()):
-            for w, bit in toggles[b]:
-                rows[w] ^= bit
-        yield Graph._trusted(n, rows)
+        acc ^= 1 << u * width + v ^ 1 << v * width + u ^ 1 << x * width + y ^ 1 << y * width + x
+        delta.append(acc)
+    state = 0
+    yield Graph._trusted(n, [0] * n, 0)
+    for c in range(1, 1 << len(delta)):
+        state ^= delta[(c & -c).bit_length() - 1]
+        yield Graph._trusted(n, unpack(state.to_bytes(size, "little")), 2 * c.bit_count())
 
 
 def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:

@@ -503,6 +503,23 @@ def test_vertex_count_too_large_is_an_input_error(capsys, monkeypatch, argv, std
     assert err == message
 
 
+def test_a_fault_in_a_handler_exits_70_not_a_verdict(capsys, monkeypatch):
+    def fail(args: argparse.Namespace) -> int:
+        raise RuntimeError("handler broke\nsecond line")
+
+    monkeypatch.setattr(xorkron.cli, "cmd_member", fail)
+    code, out, err = run(capsys, "member", "--p", "2", "--q", "2", MATCHING_G6)
+    assert (code, out, err) == (70, "", "error: internal: RuntimeError: handler broke second line\n")
+    assert "Traceback" not in err
+
+
+def test_a_search_past_the_recursion_limit_exits_70(capsys):
+    # _independent_split.fill recurses once per vertex, so 990 vertices pass Python's default limit.
+    code, out, err = run(capsys, "t2", "--p", "2", "--q", "495", "--all-labelings", "E990")
+    assert (code, out) == (70, "")
+    assert err.startswith("error: internal: RecursionError: ") and err.count("\n") == 1
+
+
 def child_env() -> dict[str, str]:
     """The environment with the package's source dir on PYTHONPATH."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -220,6 +220,23 @@ def test_census_members_are_independent_snapshots(p, q):
     assert early == [_census_member(shape, c) for c in range(6)]
 
 
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_census_members_carry_their_edge_count(p, q):
+    # census hands each member its count, two edges per cross, instead of counting its rows.
+    for k in census(GridShape(p, q)):
+        assert k.edge_count == sum(map(int.bit_count, k.rows)) // 2
+
+
+@pytest.mark.parametrize("p, q", [(9, 8), (5, 13)])
+def test_census_past_64_vertices_starts_with_its_definition(p, q):
+    # Rows wider than 64 bits are cut from the packed state by byte slices, not by one struct unpack.
+    shape = GridShape(p, q)
+    members = census(shape)
+    early = [next(members) for _ in range(16)]
+    assert early == [_census_member(shape, c) for c in range(16)]
+    assert [k.edge_count for k in early] == [2 * c.bit_count() for c in range(16)]
+
+
 def test_census_at_2_2_is_exactly_the_member_set():
     member_set = set(census(GridShape(2, 2)))
     assert len(member_set) == 2

@@ -465,19 +465,20 @@ def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:
 
 
 def _independent_split(k: Graph, size: int, odd: int) -> bool:
-    """True iff the vertex set splits into independent sets of size, each holding evenly many vertices of odd."""
+    """True iff the vertex set splits into independent sets of size, each holding evenly many vertices of odd.
+
+    Depth-first over a stack of (unused, need, cand, par): the open block still
+    takes need vertices from cand, least first, and par says whether it holds
+    oddly many vertices of odd, so its last vertex comes from the side of odd
+    that makes the count even. Each block opens at the unused vertex with the
+    fewest unused non-neighbours, itself included, and takes the rest from
+    them. Any opener is complete: every split of unused puts it in a block of
+    size of those vertices, so fewer admit none.
+    """
     adj = k.rows
-
-    def fill(unused: int, need: int, cand: int, par: bool) -> bool:
-        """True iff the open block takes need more vertices from cand and unused then splits.
-
-        par is whether the open block holds oddly many vertices of odd, so
-        its last vertex comes from the side of odd that makes the count even.
-        Each block opens at the unused vertex with the fewest unused
-        non-neighbours, itself included, and takes its other members from
-        them in ascending order. Any opener is complete: every split of unused
-        puts it in a block of size of those vertices, so fewer admit none.
-        """
+    stack = [((1 << k.n) - 1, 0, 0, False)]
+    while stack:
+        unused, need, cand, par = stack.pop()
         if need == 0:
             if not unused:
                 return True
@@ -489,20 +490,18 @@ def _independent_split(k: Graph, size: int, odd: int) -> bool:
                 r = (unused & ~adj[low.bit_length() - 1]).bit_count()
                 if r < room:
                     room, opener = r, low
-            if room < size:
-                return False
-            rest = unused ^ opener
-            return fill(rest, size - 1, rest & ~adj[opener.bit_length() - 1], bool(opener & odd))
+            if room >= size:
+                rest = unused ^ opener
+                stack.append((rest, size - 1, rest & ~adj[opener.bit_length() - 1], bool(opener & odd)))
+            continue
         if need == 1:
             cand &= odd if par else ~odd
-        while cand.bit_count() >= need:
+        if cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
-            if fill(unused ^ low, need - 1, cand & ~adj[low.bit_length() - 1], par ^ bool(low & odd)):
-                return True
-        return False
-
-    return fill((1 << k.n) - 1, 0, 0, False)
+            stack.append((unused, need, cand, par))  # the later candidates, tried once low's subtree fails
+            stack.append((unused ^ low, need - 1, cand & ~adj[low.bit_length() - 1], par ^ bool(low & odd)))
+    return False
 
 
 def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
@@ -523,10 +522,10 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
     vertices, and yields nothing if either split fails. Each split is
     necessary, so a failed one skips only a search without a leaf.
 
-    Depth-first search over vertices 0, 1, ..., n-1. Vertex v tries cells in
-    increasing order, but only rows and columns already in use or the next
-    unused one, which yields exactly the canonical labelings. Three prunings
-    keep the search small:
+    Depth-first search over vertices 0, 1, ..., n-1, on an explicit stack
+    whose frames each own their placement. Vertex v tries cells in increasing
+    order, but only rows and columns already in use or the next unused one,
+    which yields exactly the canonical labelings. Three prunings keep it small:
 
     - Propagation. Each empty cell keeps a mask of the vertices that may
       still go there. Placing v at (r, c) removes v's neighbours from the
@@ -601,13 +600,13 @@ def valid_labelings(k: Graph, shape: GridShape) -> Iterator[GridLabeling]:
     yield from _labeling_search(k, shape)[0]()
 
 
-def _labeling_search(
-    k: Graph, shape: GridShape
-) -> tuple[Callable[[], Iterator[GridLabeling]], Callable[[], bool]]:
+def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[GridLabeling]], Callable[[], bool]]:
     """valid_labelings' search as (its labelings, whether some valid labeling exists).
 
     Past the root splits, the existence test is the completion check of the
-    empty placement: it asks for any valid labeling, not the least one.
+    empty placement: it asks for any valid labeling, not the least one. Each
+    placement owns its state and each entry point walks its own stack, so the
+    two can interleave and no depth meets the recursion limit.
     """
     p, q = shape
     n = k.n
@@ -629,7 +628,6 @@ def _labeling_search(
     for v in reversed(range(n)):
         later_twins[v] = with_row.get(adj[v], 0)
         with_row[adj[v]] = later_twins[v] | 1 << v
-    holder = [-1] * n  # vertex at each cell, -1 while empty
 
     def tie(out: list[int], live: int, s1: int, m1: int, s2: int, m2: int) -> int:
         """Narrow two empty cells whose vertices lie in m1 and m2 together or not at all; 0 if one empties."""
@@ -675,12 +673,14 @@ def _labeling_search(
                 return False
         return True
 
-    def propagate(v: int, t: int, cand: list[int], live: int, empty: list[int]) -> list[int] | None:
-        """Cell state after placing v at cell t, or None on a dead end.
+    def propagate(
+        v: int, t: int, cand: list[int], holder: list[int], live: int, empty: list[int]
+    ) -> list[int] | None:
+        """Cell state after placing v at cell t, or None on a dead end; cand and holder stay as they are.
 
         cand[s] is the candidate mask of cell s and cand[n + s] the number of
-        cells its vertex must be adjacent to; live masks the unplaced vertices
-        and empty lists the empty cells, t among them.
+        cells its vertex must be adjacent to; holder[s] is the vertex at cell s
+        or -1, live masks the unplaced vertices and empty lists the empty cells.
         """
         out = cand[:]
         out[t] = 0
@@ -763,14 +763,13 @@ def _labeling_search(
                     return None
         return out
 
-    def step(
-        x: int, cand: list[int], live: int, taken: int, rows_used: int, cols_used: int
-    ) -> Iterator[tuple[int, list[int], tuple[int, int, int]]]:
-        """(t, cell state, (taken, rows_used, cols_used)) after each placement of x that propagation keeps.
+    def step(x: int, state: tuple, live: int) -> Iterator[tuple[int, tuple]]:
+        """(t, child state) after each placement of x that propagation keeps, canonical cells t least first.
 
-        Canonical cells t go least first; live masks the vertices unplaced after x.
-        holder[t] is x until the caller asks for the next placement or drops the iterator.
+        A state is (cell masks and demands, vertex at each cell or -1, taken, rows_used, cols_used);
+        each child owns its placement, copied once propagation keeps t. live masks the vertices unplaced after x.
         """
+        cand, holder, taken, rows_used, cols_used = state
         bit = 1 << x
         room = later_twins[x].bit_count()
         empty = [s for s in range(n) if holder[s] < 0]
@@ -782,71 +781,70 @@ def _labeling_search(
                 # x's later twins need empty cells after t, and fewer are left as t grows.
                 if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
                     return
-                after = propagate(x, t, cand, live, empty)
+                after = propagate(x, t, cand, holder, live, empty)
                 if after is None:
                     continue
-                holder[t] = x
-                try:
-                    yield t, after, (taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
-                finally:
-                    holder[t] = -1
+                placed = holder[:]
+                placed[t] = x
+                yield t, (after, placed, taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
 
-    def complete(cand: list[int], live: int, taken: int, rows_used: int, cols_used: int) -> list[int] | None:
+    def complete(state: tuple, live: int) -> list[int] | None:
         """The completion check: the cell of each vertex in some completion, or None.
 
-        The cells come renumbered by first use along v = 0, 1, ..., which
-        leaves the canonical placed prefix as it is.
+        It walks a stack of (step iterator, vertices unplaced below it). The
+        cells come renumbered by first use along v = 0, 1, ..., which leaves
+        the canonical placed prefix as it is.
         """
-        if not live:
-            cell_of = sorted(range(n), key=holder.__getitem__)
-            row_no = {r: i for i, r in enumerate(dict.fromkeys(t // q for t in cell_of))}
-            col_no = {c: j for j, c in enumerate(dict.fromkeys(t % q for t in cell_of))}
-            return [row_no[t // q] * q + col_no[t % q] for t in cell_of]
-        placed = full & ~live
-        x = best = -1
-        m = live
-        while m:
-            low = m & -m
-            m ^= low
-            u = low.bit_length() - 1
-            twins = with_row[adj[u]] & live
-            if twins & -twins == low:  # u is the least unplaced vertex of its twin class
-                key = (adj[u] & placed).bit_count() * n + degree[u]
-                if key > best:
-                    x, best = u, key
-        rest = live ^ 1 << x
-        for _, after, below in step(x, cand, rest, taken, rows_used, cols_used):
-            found = complete(after, rest, *below)
-            if found is not None:
-                return found
-        return None
+        frames: list[tuple[Iterator[tuple[int, tuple]], int]] = []
+        while live:
+            x = best = -1
+            m = live
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                if not with_row[adj[u]] & live & (low - 1):  # u is the least unplaced vertex of its twin class
+                    key = (adj[u] & ~live).bit_count() * n + degree[u]  # placed neighbours, then degree
+                    if key > best:
+                        x, best = u, key
+            live ^= 1 << x
+            frames.append((step(x, state, live), live))
+            while (child := next(frames[-1][0], None)) is None:
+                frames.pop()
+                if not frames:
+                    return None
+            state, live = child[1], frames[-1][1]
+        cell_of = sorted(range(n), key=state[1].__getitem__)
+        row_no = {r: i for i, r in enumerate(dict.fromkeys(t // q for t in cell_of))}
+        col_no = {c: j for j, c in enumerate(dict.fromkeys(t % q for t in cell_of))}
+        return [row_no[t // q] * q + col_no[t % q] for t in cell_of]
 
-    leaves = dead = 0  # leaves yielded, and entered subtrees that held none
+    root = ([full] * n + [0] * n, [-1] * n, 0, 0, 0)
 
-    def place(
-        v: int, cand: list[int], taken: int, rows_used: int, cols_used: int, witness: list[int] | None
-    ) -> Iterator[GridLabeling]:
-        nonlocal leaves, dead
-        if v == n:
+    def labelings() -> Iterator[GridLabeling]:
+        """The least-first search over a stack of (step iterator, witness, leaves at entry); frame v places v."""
+        leaves = dead = 0
+        frames = [(step(0, root, full ^ 1), None, 0)]
+        while frames:
+            v = len(frames) - 1
+            steps, witness, before = frames[-1]
+            live = full & ~((2 << v) - 1)  # the vertices after v
+            for t, after in steps:
+                found = witness if witness is not None and witness[v] == t else None
+                # descend unless the gate is open, no witness covers t and t has no completion
+                if found is not None or dead <= n or (found := complete(after, live)) is not None:
+                    break
+            else:
+                frames.pop()
+                dead += leaves == before  # the frame's subtree held no leaf
+                continue
+            if v + 1 < n:
+                frames.append((step(v + 1, after, live ^ 2 << v), found, leaves))
+                continue
             leaves += 1
-            cells = [(0, 0)] * n
-            for t, u in enumerate(holder):
-                cells[u] = (t // q, t % q)
-            yield GridLabeling(shape, tuple(cells))
-            return
-        live = full & ~((2 << v) - 1)  # the vertices after v
-        for t, after, below in step(v, cand, live, taken, rows_used, cols_used):
-            found = witness if witness is not None and witness[v] == t else None
-            if found is None and dead > n:
-                found = complete(after, live, *below)
-                if found is None:
-                    continue
-            before = leaves
-            yield from place(v + 1, after, *below, found)
-            dead += leaves == before
+            yield GridLabeling(shape, tuple(divmod(t, q) for t in sorted(range(n), key=after[1].__getitem__)))
 
-    root = [full] * n + [0] * n
-    return lambda: place(0, root, 0, 0, 0, None), lambda: complete(root, full, 0, 0, 0) is not None
+    return labelings, lambda: complete(root, full) is not None
 
 
 @lru_cache(maxsize=None)

@@ -3,16 +3,17 @@
 recognize first runs the labeling-independent prefilter, then takes the least
 valid labeling from membership.valid_labelings and certifies the graph it
 relabels with membership.is_spanning_cross_like. That search yields nothing
-unless the vertices split into independent grid rows and into independent grid
-columns, each holding evenly many odd-degree vertices. Once it has met more
-dead ends than the graph has vertices, each branch it would descend into must
-first pass a completion check: a second search by the same expansion step,
-placing the most constrained vertices first, for any valid labeling that
-extends the branch. A branch without one holds no leaf and is skipped.
-verify_certificate checks a search-exhausted verdict by the root splits and the
-completion check of the empty placement, without the least-first search.
-Recognition stays exponential in the worst case: a sparse member whose
-isolated vertices come first can take seconds.
+unless the vertices split into independent grid rows and columns, each holding
+evenly many odd-degree vertices. Past more dead ends than the graph has
+vertices, each branch it would descend into must first pass a completion
+check: a second search by the same step, most constrained vertices first, for
+any valid labeling that extends the branch; a branch without one holds no leaf
+and is skipped. Both searches walk explicit stacks whose placements each own
+their state, so no depth meets the recursion limit. verify_certificate checks
+a search-exhausted verdict by the root splits and the completion check of the
+empty placement, without the least-first search. Recognition stays
+exponential in the worst case: a sparse member whose isolated vertices come
+first can take seconds.
 """
 
 from __future__ import annotations

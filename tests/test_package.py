@@ -197,12 +197,15 @@ def _calls(func: ast.AST) -> set[str]:
 
 def test_one_split_search_serves_the_row_partition_and_the_root_splits():
     # The row test is the split with no parity mask; valid_labelings' root splits pass the odd-degree mask.
-    fills = []
+    # No function calls itself, so no search depth meets the recursion limit.
+    recursive = []
     for path in sorted((SRC / "xorkron").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, ast.FunctionDef):
-                fills += [(path.stem, func.name) for sub in func.body if getattr(sub, "name", None) == "fill"]
-    assert fills == [("membership", "_independent_split")]
+                calls = [sub.func for sub in ast.walk(func) if isinstance(sub, ast.Call)]
+                names = [getattr(f, "id", None) or getattr(f, "attr", None) for f in calls]
+                recursive += [(path.stem, func.name)] * (func.name in names)
+    assert recursive == []
     funcs = _membership_functions()
     callers = sorted(name for name, func in funcs.items() if "_independent_split" in _calls(func))
     assert callers == ["_labeling_search", "has_independent_row_partition"]

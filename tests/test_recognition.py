@@ -21,6 +21,7 @@ from xorkron import (
     prefilter,
     recognize,
     standard_graph,
+    t2_min_over_labelings,
     tensor_product,
     valid_labelings,
     verify_certificate,
@@ -33,6 +34,7 @@ from xorkron.membership import (
     REASON_SEARCH_EXHAUSTED,
     GridLabeling,
     _independent_split,
+    _labeling_search,
     find_violation,
     pair_quadruples,
 )
@@ -373,6 +375,28 @@ def test_existence_check_agrees_with_the_least_first_search_on_4_4_and_4_5():
                 assert _refuted_by_verify(g, shape) == (not member)
                 verdicts.add((p, q, member))
     assert len(verdicts) == 4
+
+
+def test_existence_check_inside_the_least_first_search_leaves_it_unchanged():
+    # each run owns its placement, so an existence check asked mid-enumeration neither sees nor moves it
+    shape = GridShape(3, 4)
+    quads = list(pair_quadruples(shape))
+    for seed in range(1, 21):
+        rng = random.Random(seed)
+        g = _permuted(rng, graph_from_quadruples(shape, rng.sample(quads, 1 + seed % 5)))
+        labelings, exists = _labeling_search(g, shape)
+        run = labelings()
+        first = next(run)
+        assert exists()
+        assert [first, *run] == list(_labeling_search(g, shape)[0]())
+
+
+def test_searches_run_past_the_recursion_limit():
+    # 1040 vertices placed one per stack frame, past Python's default limit of 1000 frames
+    g, shape = standard_graph("edgeless", 1040), GridShape(2, 520)
+    assert has_independent_row_partition(g, shape)
+    assert list(valid_labelings(g, shape)) == [GridLabeling.identity(shape)]
+    assert t2_min_over_labelings(g, shape) == 2
 
 
 def _recognized_cells(g, shape):

@@ -16,7 +16,8 @@ STANDARD_KINDS = ("complete", "path", "cycle", "edgeless")
 # The codec holds it as one int with field bit k at int bit k, so column j is the
 # low j bits of row j. With 6-bit group k moved to bit 8k, the int's little-endian
 # bytes are the groups, and one bytes.translate turns each group into its
-# character (bits reversed, plus 63) or back.
+# character (bits reversed, plus 63) or back. A field carried by a Graph is
+# already in that spread layout.
 _G6_OUT = bytes(int(f"{v:06b}"[::-1], 2) + 63 for v in range(64)) * 4  # group -> character; only 0..63 occur
 _G6_IN = bytes(63) + bytes(c - 63 for c in _G6_OUT[:64]) + bytes(129)  # character 63..126 -> group
 _G6_DROP_PRINTABLE = str.maketrans("", "", "".join(map(chr, range(63, 127))))
@@ -36,9 +37,13 @@ class Graph:
     edge_count counts the row bits on first use and keeps the result, so each
     graph is counted at most once; a builder that already knows the count,
     such as census, hands it to _trusted and the graph is never counted.
+    census also hands over _graph6, the graph6 bit field in the encoder's
+    layout (6-bit group k at byte k), which graph6_encode then writes as it
+    is and never sets; every other graph leaves it None and is packed from
+    its rows.
     """
 
-    __slots__ = ("n", "rows", "_edge_count")
+    __slots__ = ("n", "rows", "_edge_count", "_graph6")
 
     def __init__(self, n: int, rows: Sequence[int]) -> None:
         if n < 0:
@@ -62,18 +67,24 @@ class Graph:
         self.n = n
         self.rows = rows
         self._edge_count = None
+        self._graph6 = None
 
     @classmethod
-    def _trusted(cls, n: int, rows: Iterable[int], edge_count: int | None = None) -> Graph:
+    def _trusted(
+        cls, n: int, rows: Iterable[int], edge_count: int | None = None, graph6: int | None = None
+    ) -> Graph:
         """Wrap n rows already known to be in range, symmetric and loop-free.
 
         edge_count, when given, must be the graph's edge count; it is kept
-        instead of counted.
+        instead of counted. graph6, when given, must be the graph's graph6 bit
+        field with pair (i, j), i < j, at int bit _g6_bit(i, j); graph6_encode
+        writes it instead of packing the rows.
         """
         g = object.__new__(cls)
         g.n = n
         g.rows = tuple(rows)
         g._edge_count = edge_count
+        g._graph6 = graph6
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -208,18 +219,27 @@ def _g6_layout(n: int) -> tuple:
     return masks, offs, ngroups, groups, columns, swaps, rows
 
 
+def _g6_bit(i: int, j: int) -> int:
+    """Int bit of pair (i, j), i < j, in the spread field: field bit b = j(j-1)/2 + i at 8(b // 6) + b % 6."""
+    b = j * (j - 1) // 2 + i
+    return 8 * (b // 6) + b % 6
+
+
 def graph6_encode(g: Graph) -> str:
     """Encode in graph6 short form (n <= 62).
 
-    Packs the triangle in one C-level sum, spreads its 6-bit groups to bytes in
-    log2(groups) masked shifts and writes every character with one translate.
+    Writes the field a census member carries as it is. Any other graph has its
+    triangle packed in one C-level sum and its 6-bit groups spread to bytes in
+    log2(groups) masked shifts. Every character comes out of one translate.
     """
     n = g.n
     if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 short form handles n <= {GRAPH6_MAX_N}, got {n}")
-    masks, offs, ngroups, groups, _, _, _ = _g6_layout(n)
-    field = sum(map(lshift, map(and_, g.rows, masks), offs))
-    return chr(n + 63) + _spread(field, groups).to_bytes(ngroups, "little").translate(_G6_OUT).decode()
+    field = g._graph6
+    if field is None:
+        masks, offs, _, groups, _, _, _ = _g6_layout(n)
+        field = _spread(sum(map(lshift, map(and_, g.rows, masks), offs)), groups)
+    return chr(n + 63) + field.to_bytes((n * (n - 1) // 2 + 5) // 6, "little").translate(_G6_OUT).decode()
 
 
 def graph6_decode(s: str) -> Graph:

@@ -39,7 +39,7 @@ from struct import Struct
 from typing import Callable, Iterator, Sequence
 
 from .algebra import tensor_elementary, two_sum
-from .graphs import Graph, graph6_decode, graph6_encode
+from .graphs import Graph, _g6_bit, graph6_decode, graph6_encode
 
 REASON_ODD_EDGES = "odd-edge-count"
 REASON_SAME_LINE = "same-row-or-column-edge"
@@ -431,6 +431,11 @@ def census(shape: GridShape) -> Iterator[Graph]:
     the XOR of those crosses' four row bits (both diagonals in both
     directions). One unpack of the int's bytes reads the rows back out, and
     each member is handed its edge count, two per cross of c.
+
+    A second int holds the graph6 bit field in the encoder's spread layout
+    (6-bit group k at byte k) and takes the same step with one XOR with
+    field_delta[b], two field bits per cross. Each member is handed it, so
+    graph6_encode writes a member without packing its rows.
     """
     p, q = shape
     n = p * q
@@ -445,17 +450,21 @@ def census(shape: GridShape) -> Iterator[Graph]:
             return [int.from_bytes(data[a:a + step], "little") for a in starts]
 
     size = n * width // 8
-    # delta[b] toggles the crosses of bits 0..b; the low bits take the last quadruples
-    delta, acc = [], 0
+    # delta[b] and field_delta[b] toggle the crosses of bits 0..b; the low bits take the last quadruples
+    delta, field_delta, acc, field_acc = [], [], 0, 0
     for i, i2, j, j2 in reversed(pair_quadruples(shape)):
-        u, v, x, y = i * q + j, i2 * q + j2, i * q + j2, i2 * q + j
+        u, v, x, y = i * q + j, i2 * q + j2, i * q + j2, i2 * q + j  # u < v and x < y
         acc ^= 1 << u * width + v ^ 1 << v * width + u ^ 1 << x * width + y ^ 1 << y * width + x
+        field_acc ^= 1 << _g6_bit(u, v) ^ 1 << _g6_bit(x, y)
         delta.append(acc)
-    state = 0
-    yield Graph._trusted(n, [0] * n, 0)
+        field_delta.append(field_acc)
+    state = field = 0
+    yield Graph._trusted(n, [0] * n, 0, 0)
     for c in range(1, 1 << len(delta)):
-        state ^= delta[(c & -c).bit_length() - 1]
-        yield Graph._trusted(n, unpack(state.to_bytes(size, "little")), 2 * c.bit_count())
+        b = (c & -c).bit_length() - 1
+        state ^= delta[b]
+        field ^= field_delta[b]
+        yield Graph._trusted(n, unpack(state.to_bytes(size, "little")), 2 * c.bit_count(), field)
 
 
 def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:
@@ -847,7 +856,7 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
     return labelings, lambda: complete(root, full) is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # a handful of shapes stay cached; a large table, about 90 MB at (2,520), is let go
 def _grid_geometry(p: int, q: int) -> tuple[tuple, tuple]:
     """Per cell t = r*q + c: (row r's other cells, column c's other cells) and the rectangles through t.
 

@@ -284,10 +284,13 @@ def test_criterion_12_full_3x4_census_within_budget(capsys):
     assert k == tensor_product(standard_graph("complete", 3), standard_graph("complete", 4))
     assert elapsed < 5.0
     # the listing `xorkron census` prints, byte for byte as the per-bit graph6 codec wrote it
+    start = time.perf_counter()
     assert main(["census", "--p", "3", "--q", "4"]) == 0
+    listed = time.perf_counter() - start
     listing = capsys.readouterr().out.encode("ascii")
     assert hashlib.sha256(listing).hexdigest() == "add7dbb41009d57119284e7908cc6f95ffe1126ddc9d749eb7f210fa19eb7421"
-    print(f"criterion 12: PASS ({count} members of the 3x4 census in {elapsed:.2f}s, listing pinned)")
+    assert listed < 1.0, f"census --p 3 --q 4 took {listed:.2f}s"
+    print(f"criterion 12: PASS ({count} members of the 3x4 census in {elapsed:.2f}s, listed in {listed:.2f}s, listing pinned)")
 
 
 def test_criterion_13_full_8x8_member_verifies_within_budget():

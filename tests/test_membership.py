@@ -44,6 +44,7 @@ from xorkron import (
     t2_exact,
     tensor_product,
     two_sum,
+    valid_labelings,
     verify_certificate,
 )
 from xorkron import membership
@@ -227,6 +228,37 @@ def test_census_members_carry_their_edge_count(p, q):
         assert k.edge_count == sum(map(int.bit_count, k.rows)) // 2
 
 
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 3), (2, 4), (2, 6)])
+def test_census_members_carry_their_graph6_field(p, q):
+    # graph6_encode writes the carried field; a copy without it is packed from its rows.
+    for k in census(GridShape(p, q)):
+        assert k._graph6 is not None
+        assert graph6_encode(k) == graph6_encode(Graph(k.n, k.rows))
+
+
+def test_census_members_carry_their_graph6_field_at_sampled_3_4_indices():
+    shape = GridShape(3, 4)
+    picks = set(random.Random("census graph6 3x4").sample(range(2**18), 2000))
+    for c, k in enumerate(census(shape)):
+        if c in picks:
+            assert graph6_encode(k) == graph6_encode(Graph(k.n, k.rows))
+
+
+def test_census_members_keep_their_graph6_field_after_the_generator_runs_on():
+    shape = GridShape(2, 6)
+    members = census(shape)
+    early = [next(members) for _ in range(6)]
+    assert sum(1 for _ in members) == 2**15 - 6
+    assert [graph6_encode(k) for k in early] == [graph6_encode(_census_member(shape, c)) for c in range(6)]
+
+
+def test_graph6_encode_of_a_census_member_past_62_vertices_still_raises():
+    members = census(GridShape(9, 8))
+    next(members)
+    with pytest.raises(ValueError, match=f"n <= {GRAPH6_MAX_N}, got 72"):
+        graph6_encode(next(members))
+
+
 @pytest.mark.parametrize("p, q", [(9, 8), (5, 13)])
 def test_census_past_64_vertices_starts_with_its_definition(p, q):
     # Rows wider than 64 bits are cut from the packed state by byte slices, not by one struct unpack.
@@ -343,6 +375,21 @@ def _within_budget(f, *args):
     assert elapsed < 1.0, f"{f.__name__} took {elapsed:.2f} s"
     assert peak < 50 * 2**20, f"{f.__name__} peaked at {peak / 2**20:.0f} MB"
     return value
+
+
+def test_grid_geometry_of_a_large_shape_is_let_go():
+    # a (2,520) search builds about 90 MB of grid geometry; eight small searches push it out of the cache
+    membership._grid_geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        membership._labeling_search(standard_graph("edgeless", 1040), GridShape(2, 520))
+        for p, q in [(2, 2), (2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (4, 4), (2, 6)]:
+            assert next(valid_labelings(standard_graph("edgeless", p * q), GridShape(p, q)))
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 10 * 2**20, f"{grown / 2**20:.0f} MB kept"
 
 
 def test_members_at_a_wide_shape_are_decided_within_budget():

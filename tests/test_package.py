@@ -103,6 +103,36 @@ def test_graphs_are_validated_only_at_the_boundary():
     assert {m[2] for m in made} == {"Graph", "Graph._trusted", "object.__new__"}
 
 
+def _top_level_functions(tree: ast.Module):
+    """(name, node) of each module-level function and method, methods named Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def test_only_census_hands_a_graph_its_graph6_field():
+    # graph6_encode writes a carried field as it is, so no encoder may store one on the graph it reads.
+    stores, passes, named = [], set(), []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "_graph6"]
+        for name, func in _top_level_functions(tree):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "_graph6" and isinstance(node.ctx, ast.Store):
+                    stores.append((path.stem, name))
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func).endswith("_trusted")
+                    and (len(node.args) > 3 or any(kw.arg in ("graph6", None) for kw in node.keywords))
+                ):
+                    passes.add((path.stem, name))
+    assert named == ["graphs"]  # the __slots__ entry: no setattr by name
+    assert stores == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted")]
+    assert passes == {("membership", "census")}
+
+
 def test_member_certificates_are_built_only_by_the_labeled_decision():
     # recognize and verify_certificate restate is_spanning_cross_like instead of rebuilding its fields.
     built = []

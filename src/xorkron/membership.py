@@ -34,7 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
+from operator import countOf, lt
 from struct import Struct
 from typing import Callable, Iterator, Sequence
 
@@ -93,6 +94,8 @@ class GridLabeling:
         p, q = self.shape
         if len(self.cells) != p * q:
             raise ValueError(f"labeling covers {len(self.cells)} vertices, grid has {p * q}")
+        if set(self.cells) == _grid_cells(p, q):  # one test for both checks below; they name the fault
+            return
         if len(set(self.cells)) != p * q:
             raise ValueError("labeling repeats a grid cell")
         for v, (i, j) in enumerate(self.cells):
@@ -105,7 +108,8 @@ class GridLabeling:
 
     def permutation(self) -> tuple[int, ...]:
         """perm[v] = grid index of v; relabeling by it puts v at its cell."""
-        return tuple(self.grid_index(v) for v in range(len(self.cells)))
+        q = self.shape.q
+        return tuple(i * q + j for i, j in self.cells)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -113,6 +117,12 @@ class GridLabeling:
         """The labeling v -> (v div q, v mod q), built once per shape (it is frozen)."""
         p, q = shape
         return GridLabeling(shape, tuple((v // q, v % q) for v in range(p * q)))
+
+
+@lru_cache(maxsize=8)  # asked for only once the cell count matched, so no larger than a labeling
+def _grid_cells(p: int, q: int) -> frozenset[tuple[int, int]]:
+    """The cells (i, j), 0 <= i < p and 0 <= j < q, of the p x q grid."""
+    return frozenset(product(range(p), range(q)))
 
 
 @dataclass(frozen=True)
@@ -150,9 +160,9 @@ class Certificate:
             "graph6": graph6_encode(self.graph),
         }
         if self.labeling is not None:
-            out["labeling"] = [list(cell) for cell in self.labeling.cells]
+            out["labeling"] = list(map(list, self.labeling.cells))
         if self.summands is not None:
-            out["summands"] = [list(s) for s in self.summands]
+            out["summands"] = list(map(list, self.summands))
         if self.witness is not None:
             out["witness"] = {"reason": self.witness.reason}
             if self.witness.edge is not None:
@@ -162,14 +172,19 @@ class Certificate:
         return out
 
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), indent=2); the cells and summands, int tuples, fill a template."""
+        """json.dumps(self.to_dict(), indent=2); the shape, cells and summands, when ints, fill %d templates.
+
+        The indent selects the pure-Python encoder, so only lists and dicts that miss the templates take it.
+        """
         fields = []
         for key, value in self.to_dict().items():
-            if key in ("labeling", "summands") and value and _int_lists(value, len(value[0])):
-                item = "    [\n" + ",\n".join(["      {}"] * len(value[0])) + "\n    ]"
-                text = "[\n" + ",\n".join([item] * len(value)).format(*chain.from_iterable(value)) + "\n  ]"
+            if key in ("labeling", "summands") and value and value[0] and _int_lists(value, len(value[0])):
+                item = "    [\n" + ",\n".join(["      %d"] * len(value[0])) + "\n    ]"
+                text = "[\n" + ",\n".join([item] * len(value)) % tuple(chain.from_iterable(value)) + "\n  ]"
+            elif key == "shape" and _int_lists([value], 2):
+                text = "[\n    %d,\n    %d\n  ]" % tuple(value)
             else:
-                text = json.dumps(value, indent=2).replace("\n", "\n  ")
+                text = json.dumps(value, indent=2 if isinstance(value, (list, dict)) else None).replace("\n", "\n  ")
             fields.append(f'  "{key}": {text}')
         return "{\n" + ",\n".join(fields) + "\n}"
 
@@ -191,8 +206,8 @@ class Certificate:
         summands = None
         if "summands" in data:
             summands = _int_tuples(_list_of(data["summands"], "summands"), 4, "summand")
-            for problem in filter(None, (_summand_problem(s, shape) for s in summands)):
-                raise ValueError(problem)
+            if not _crosses(summands, shape):
+                raise ValueError(next(filter(None, (_summand_problem(s, shape) for s in summands))))
         witness = None
         if "witness" in data:
             w = data["witness"]
@@ -224,10 +239,14 @@ def _field(data: dict, key: str, where: str = "certificate") -> object:
     return data[key]
 
 
-def _int_lists(items: list, length: int) -> bool:
-    """Whether each item is a list of exactly length ints (JSON booleans excluded); one pass per test."""
-    lists = {list} >= set(map(type, items)) and {length} >= set(map(len, items))
-    return lists and {int} >= set(map(type, chain.from_iterable(items)))
+def _int_lists(items: Sequence, length: int, kind: type = list) -> bool:
+    """Whether each item is a kind, list by default, of exactly length ints (booleans excluded); one pass per test."""
+    n = len(items)
+    return (
+        countOf(map(type, items), kind) == n
+        and countOf(map(len, items), length) == n
+        and countOf(map(type, chain.from_iterable(items)), int) == n * length
+    )
 
 
 def _int_tuples(items: list, length: int, what: str) -> tuple[tuple[int, ...], ...]:
@@ -257,6 +276,15 @@ def _summand_problem(s: tuple[int, ...], shape: GridShape) -> str | None:
     if 0 <= i < i2 < shape.p and 0 <= j < j2 < shape.q:
         return None
     return f"summand {list(s)} is not a cross of the {shape.p} x {shape.q} grid"
+
+
+def _crosses(summands: Sequence[tuple[int, int, int, int]], shape: GridShape) -> bool:
+    """Whether each summand, four ints, is a cross of the grid, as _summand_problem tests it, in one loop."""
+    p, q = shape.p, shape.q
+    for i, i2, j, j2 in summands:
+        if not (0 <= i < i2 < p and 0 <= j < j2 < q):
+            return False
+    return True
 
 
 def find_violation(k: Graph, shape: GridShape) -> Witness | None:
@@ -887,10 +915,17 @@ def verify_certificate(cert: Certificate) -> list[str]:
     An empty list means the certificate is internally consistent and its
     verdict matches a recomputation from the graph it embeds. A member's
     graph is relabeled by its labeling unless that labeling equals the
-    identity; the identity skips only the relabel, never a check. A
-    search-exhausted witness is checked by existence: the root splits of
-    valid_labelings, then the completion check of the empty placement, which
-    asks for any valid labeling rather than the least one.
+    identity; the identity skips only the relabel, never a check. A member
+    passes when its summands, a tuple of int 4-tuples, are crosses of the
+    grid in strictly increasing order, its empty_decomposition flag says
+    whether there are none, and they XOR back to the relabeled graph.
+    Distinct crosses toggle disjoint edge pairs, so such a list is the
+    relabeled graph's one decomposition, in the decider's order. Any other
+    member reruns the decider, is_spanning_cross_like, only to word its
+    problems, and the XOR-back is not repeated. A search-exhausted witness is
+    checked by existence: the root splits of valid_labelings, then the
+    completion check of the empty placement, which asks for any valid
+    labeling rather than the least one.
     """
     problems: list[str] = []
     k = cert.graph
@@ -910,6 +945,18 @@ def verify_certificate(cert: Certificate) -> list[str]:
             relabeled = k
         else:
             relabeled = k.relabel(cert.labeling.permutation())
+        quads = cert.summands
+        xored = None
+        if (
+            type(quads) is tuple
+            and cert.empty_decomposition == (not quads)
+            and _int_lists(quads, 4, tuple)
+            and all(map(lt, quads, quads[1:]))
+            and _crosses(quads, shape)
+        ):
+            xored = graph_from_quadruples(shape, quads)
+            if xored == relabeled:
+                return problems
         redo = is_spanning_cross_like(relabeled, shape)
         w = redo.witness
         if w is not None:
@@ -925,7 +972,9 @@ def verify_certificate(cert: Certificate) -> list[str]:
                 problems.append("summand list does not match the relabeled graph")
                 outside = [pb for pb in (_summand_problem(s, shape) for s in cert.summands) if pb]
                 problems.extend(outside)
-            if not outside and graph_from_quadruples(shape, cert.summands) != relabeled:
+            if xored is None and not outside:
+                xored = graph_from_quadruples(shape, cert.summands)
+            if xored is not None and xored != relabeled:
                 problems.append("summands do not XOR back to the relabeled graph")
         if cert.empty_decomposition != redo.empty_decomposition:
             problems.append("empty_decomposition flag disagrees with the edge count")

@@ -9,18 +9,31 @@ from itertools import combinations, permutations
 from math import comb
 
 from xorkron import (
+    Certificate,
     Graph,
+    GridLabeling,
     GridShape,
     Witness,
     census,
     edge_bound_check,
     graph6_encode,
+    graph_from_quadruples,
+    has_independent_row_partition,
+    is_spanning_cross_like,
     new_graph,
     t2_exact,
     tensor_product,
 )
+from xorkron import membership
 from xorkron.graphs import GRAPH6_MAX_N
-from xorkron.membership import REASON_MISSING_PARTNER, REASON_SAME_LINE
+from xorkron.membership import (
+    REASON_EDGE_BOUND,
+    REASON_MISSING_PARTNER,
+    REASON_NO_PARTITION,
+    REASON_ODD_EDGES,
+    REASON_SAME_LINE,
+    REASON_SEARCH_EXHAUSTED,
+)
 
 
 def naive_cross_like(k: Graph, p: int, q: int) -> bool:
@@ -456,3 +469,83 @@ def reference_graph6_decode(s: str) -> Graph:
                 rows[j] |= 1 << i
             pos += 1
     return Graph(n, rows)
+
+
+def reference_verify_certificate(cert: Certificate) -> list[str]:
+    """verify_certificate as it was before members took the XOR-back path: the decider reruns on every member."""
+    problems: list[str] = []
+    k = cert.graph
+    shape = cert.shape
+    if k.n != shape.order:
+        return [f"graph has {k.n} vertices but shape ({shape.p}, {shape.q}) needs {shape.order}"]
+    if cert.verdict:
+        if cert.witness is not None:
+            problems.append("member certificate carries a witness")
+        if cert.labeling is None:
+            problems.append("member certificate is missing its labeling")
+            return problems
+        if cert.labeling.shape != shape:
+            problems.append("labeling shape disagrees with certificate shape")
+            return problems
+        if cert.labeling == GridLabeling.identity(shape):
+            relabeled = k
+        else:
+            relabeled = k.relabel(cert.labeling.permutation())
+        redo = is_spanning_cross_like(relabeled, shape)
+        w = redo.witness
+        if w is not None:
+            problems.append(
+                f"labeling does not make the graph cross-like: {w.reason} at edge {w.edge}"
+            )
+            return problems
+        if cert.summands is None:
+            problems.append("member certificate is missing its summand list")
+        else:
+            outside = []  # the summands of redo are all crosses of the grid
+            if tuple(cert.summands) != redo.summands:
+                problems.append("summand list does not match the relabeled graph")
+                outside = [pb for pb in (membership._summand_problem(s, shape) for s in cert.summands) if pb]
+                problems.extend(outside)
+            if not outside and graph_from_quadruples(shape, cert.summands) != relabeled:
+                problems.append("summands do not XOR back to the relabeled graph")
+        if cert.empty_decomposition != redo.empty_decomposition:
+            problems.append("empty_decomposition flag disagrees with the edge count")
+    else:
+        if cert.labeling is not None or cert.summands is not None or cert.empty_decomposition:
+            problems.append("non-member certificate carries a labeling, summands or empty_decomposition")
+        if cert.witness is None:
+            problems.append("non-member certificate is missing its witness")
+            return problems
+        w = cert.witness
+        takes_edge = w.reason in (REASON_SAME_LINE, REASON_MISSING_PARTNER)
+        if w.edge is not None and not takes_edge:
+            problems.append(f"{w.reason} witness carries an edge")
+        if w.reason == REASON_ODD_EDGES:
+            if k.edge_count % 2 == 0:
+                problems.append("odd-edge-count witness but the edge count is even")
+        elif w.reason == REASON_EDGE_BOUND:
+            if k.edge_count <= shape.edge_bound:
+                problems.append("edge-bound witness but the bound is not exceeded")
+        elif takes_edge:
+            if w.edge is None:
+                problems.append(f"{w.reason} witness needs an edge")
+            else:
+                u, v = w.edge
+                if not (0 <= u < k.n and 0 <= v < k.n) or not k.has_edge(u, v):
+                    problems.append(f"witness edge ({u}, {v}) is not an edge of the graph")
+                else:
+                    defect = membership._edge_defect(k, shape.q, u, v)
+                    if w.reason == REASON_SAME_LINE:
+                        if defect != REASON_SAME_LINE:
+                            problems.append(f"witness edge ({u}, {v}) joins distinct rows and columns")
+                    elif defect == REASON_SAME_LINE:
+                        problems.append(f"witness edge ({u}, {v}) is collinear, not a missing-partner case")
+                    elif defect is None:
+                        problems.append(f"cross partner of witness edge ({u}, {v}) is present")
+        elif w.reason == REASON_NO_PARTITION:
+            if has_independent_row_partition(k, shape):
+                problems.append("no-partition witness but an independent row partition exists")
+        elif w.reason == REASON_SEARCH_EXHAUSTED:
+            if membership._labeling_search(k, shape)[1]():
+                problems.append("search-exhausted witness but a full search finds a valid labeling")
+    return problems

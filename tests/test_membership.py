@@ -20,6 +20,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from typing import Iterator
 
 import pytest
 
@@ -65,6 +66,7 @@ from .helpers import (
     random_graph,
     reference_pair_matrix,
     reference_summands,
+    reference_verify_certificate,
     reference_violation,
 )
 
@@ -406,6 +408,18 @@ def test_members_at_a_wide_shape_are_decided_within_budget():
         assert _within_budget(verify_certificate, cert) == []
 
 
+def test_a_member_of_many_crosses_at_a_wide_shape_is_verified_within_budget():
+    # the decider's pair rows grow with each cross of a row pair: rerun on this member it took 5.4 s
+    shape = GridShape(2, 5000)
+    quads = tuple((0, 1, j, j + 1) for j in range(0, 5000, 2))
+    k = new_graph(10000, [e for _, _, j, j2 in quads for e in ((j, 5000 + j2), (j2, 5000 + j))])
+    cert = Certificate(True, shape, k, labeling=GridLabeling.identity(shape), summands=quads)
+    start = time.perf_counter()
+    assert verify_certificate(cert) == []
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"verify_certificate took {elapsed:.2f} s"
+
+
 def _writer_corpus() -> list[Certificate]:
     """Certificates of every kind to_json writes, from 4 to 62 vertices."""
     shapes = [GridShape(2, 2), GridShape(2, 3), GridShape(3, 3)]
@@ -506,6 +520,12 @@ def test_certificate_writer_falls_back_on_lists_it_cannot_template():
         assert cert.to_json() == json.dumps(cert.to_dict(), indent=2)
 
 
+def test_certificate_writer_falls_back_on_empty_entries_and_a_float_shape():
+    base = is_spanning_cross_like(_complete_product(2, 2), GridShape(2, 2))
+    for cert in [replace(base, summands=s) for s in ((), ((),), ((), ()))] + [replace(base, shape=GridShape(2.0, 2))]:
+        assert cert.to_json() == json.dumps(cert.to_dict(), indent=2)
+
+
 def test_certificate_reader_builds_nothing_from_a_shape_the_graph_does_not_fill():
     # the shape is read before it meets the graph, so nothing of its size may be built
     data = {"verdict": "member", "shape": [2, 2], "graph6": "A_"}
@@ -528,6 +548,105 @@ def test_verify_certificate_checks_summands_one_by_one_only_when_they_differ(mon
     moved = replace(honest, summands=honest.summands[1:] + ((0, 1, 0, 1),))
     assert verify_certificate(moved) == ["summand list does not match the relabeled graph"]
     assert len(calls) == len(honest.summands)
+
+
+def test_verify_certificate_reruns_the_decider_only_to_word_a_failure(monkeypatch):
+    # an honest member is checked by its XOR-back alone; a failing one reruns the decider, not the XOR-back
+    shape = GridShape(3, 3)
+    quads = pair_quadruples(shape)
+    honest = is_spanning_cross_like(graph_from_quadruples(shape, quads[:-1]), shape)
+    calls = Counter()
+    for name in ("is_spanning_cross_like", "graph_from_quadruples"):
+        original = getattr(membership, name)
+        monkeypatch.setattr(membership, name, lambda *a, f=original, n=name: calls.update([n]) or f(*a))
+    assert verify_certificate(honest) == []
+    assert calls == {"graph_from_quadruples": 1}
+    calls.clear()
+    moved = replace(honest, summands=honest.summands[1:] + honest.summands[:1])
+    assert verify_certificate(moved) == ["summand list does not match the relabeled graph"]
+    assert calls == {"is_spanning_cross_like": 1, "graph_from_quadruples": 1}
+    calls.clear()
+    extra = replace(honest, summands=honest.summands + quads[-1:])  # still increasing, so XOR-ed once
+    assert verify_certificate(extra) == [
+        "summand list does not match the relabeled graph",
+        "summands do not XOR back to the relabeled graph",
+    ]
+    assert calls == {"is_spanning_cross_like": 1, "graph_from_quadruples": 1}
+
+
+def _honest_members() -> list[Certificate]:
+    """Member certificates: the (2,2), (2,3) and (3,3) censuses, seeded (4,5) and (7,8) members under the
+    identity and under a shuffled labeling, and recognize's members of permuted tensor products."""
+    shapes = [GridShape(2, 2), GridShape(2, 3), GridShape(3, 3)]
+    certs = [is_spanning_cross_like(k, shape) for shape in shapes for k in census(shape)]
+    rng = random.Random(29)
+    for p, q in ((4, 5), (7, 8)):
+        shape = GridShape(p, q)
+        for count in (0, 1, 7, 60):
+            honest = is_spanning_cross_like(graph_from_quadruples(shape, rng.sample(pair_quadruples(shape), count)), shape)
+            perm = list(range(p * q))
+            rng.shuffle(perm)
+            inverse = sorted(range(p * q), key=perm.__getitem__)
+            # the labeling puts v at cell perm[v], and relabeling by perm turns graph back into the member
+            labeling = GridLabeling(shape, tuple(divmod(t, q) for t in perm))
+            certs += [honest, replace(honest, graph=honest.graph.relabel(inverse), labeling=labeling)]
+    for p, q in ((2, 3), (3, 3), (3, 4), (3, 4)):
+        k = tensor_product(random_graph(rng, p, 0.7), random_graph(rng, q, 0.7))
+        perm = list(range(p * q))
+        rng.shuffle(perm)
+        certs.append(recognize(k.relabel(perm), GridShape(p, q)))
+    return certs
+
+
+def _mutations(cert: Certificate) -> Iterator[Certificate]:
+    """cert, then each tampering of its summands, flag, witness or labeling."""
+    shape, s = cert.shape, cert.summands
+    p, q = shape
+    tampered = [s, list(s), tuple(map(list, s))]
+    outside = [(p - 2, p, 0, 1), (-1, 0, 0, 1), (0, 1, q - 2, q), (0, 1, 1, 1), (1, 0, 0, 1)]
+    absent = [quad for quad in pair_quadruples(shape) if quad not in s][-1:]
+    for quad in outside + absent:  # at the end, and in order so that only the grid test can send it back
+        tampered += [s + (quad,), tuple(sorted(s + (quad,)))]
+    if s:
+        first = s[0]
+        tampered += [
+            s[1:],
+            s[:1] + s,
+            s[-1:] + s[1:-1] + s[:1],
+            (tuple(bool(x) if x in (0, 1) else x for x in first),) + s[1:],
+            (tuple(map(float, first)),) + s[1:],
+            (first[:3],) + s[1:],
+        ]
+    for summands in tampered:
+        yield replace(cert, summands=summands)
+    cells = cert.labeling.cells
+    yield replace(cert, labeling=GridLabeling(shape, cells[-1:] + cells[1:-1] + cells[:1]))
+    yield replace(cert, empty_decomposition=not cert.empty_decomposition)
+    yield replace(cert, witness=Witness(REASON_ODD_EDGES))
+    yield replace(cert, labeling=None)
+    yield replace(cert, summands=None)
+
+
+def _outcome(verify, cert: Certificate) -> list[str] | type:
+    """The problems verify finds in cert, or the type of the exception it raises."""
+    try:
+        return verify(cert)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def test_verify_certificate_matches_the_decider_rerun_on_tampered_members():
+    certs = _honest_members()
+    assert all(c.verdict for c in certs)
+    assert sum(c.labeling != GridLabeling.identity(c.shape) for c in certs) >= 10
+    outcomes = Counter()
+    for cert in certs:
+        for tampered in _mutations(cert):
+            want = _outcome(reference_verify_certificate, tampered)
+            assert _outcome(verify_certificate, tampered) == want, tampered
+            outcomes[want if isinstance(want, type) else len(want)] += 1
+    # each kind of outcome occurs: passes, failures with one and with two problems, and raises
+    assert {0, 1, 2, TypeError, ValueError} <= set(outcomes), outcomes
 
 
 def test_verify_certificate_accepts_honest_certs():

@@ -39,11 +39,13 @@ class Graph:
     such as census, hands it to _trusted and the graph is never counted.
     census also hands over _graph6, the graph6 bit field in the encoder's
     layout (6-bit group k at byte k), which graph6_encode then writes as it
-    is and never sets; every other graph leaves it None and is packed from
-    its rows.
+    is and never sets, and _pairs, its pair matrix as one int, with
+    _pairs_layout, the (p, q, row shifts, row mask) that says for which grid
+    it holds and where its rows lie; membership reads the matrix from them
+    instead of off the rows. Every other graph leaves all three None.
     """
 
-    __slots__ = ("n", "rows", "_edge_count", "_graph6")
+    __slots__ = ("n", "rows", "_edge_count", "_graph6", "_pairs", "_pairs_layout")
 
     def __init__(self, n: int, rows: Sequence[int]) -> None:
         if n < 0:
@@ -68,23 +70,37 @@ class Graph:
         self.rows = rows
         self._edge_count = None
         self._graph6 = None
+        self._pairs = None
+        self._pairs_layout = None
 
     @classmethod
     def _trusted(
-        cls, n: int, rows: Iterable[int], edge_count: int | None = None, graph6: int | None = None
+        cls,
+        n: int,
+        rows: Iterable[int],
+        edge_count: int | None = None,
+        graph6: int | None = None,
+        pairs: int | None = None,
+        pairs_layout: tuple[int, int, tuple[int, ...], int] | None = None,
     ) -> Graph:
         """Wrap n rows already known to be in range, symmetric and loop-free.
 
         edge_count, when given, must be the graph's edge count; it is kept
         instead of counted. graph6, when given, must be the graph's graph6 bit
         field with pair (i, j), i < j, at int bit _g6_bit(i, j); graph6_encode
-        writes it instead of packing the rows.
+        writes it instead of packing the rows. pairs, when given with
+        pairs_layout = (p, q, shifts, mask), must be the graph's pair matrix
+        on the p x q grid, a labeled member there, with row r at bit shifts[r]
+        and mask covering one row; membership._pair_rows returns those rows
+        for that grid instead of reading them off the adjacency rows.
         """
         g = object.__new__(cls)
         g.n = n
         g.rows = tuple(rows)
         g._edge_count = edge_count
         g._graph6 = graph6
+        g._pairs = pairs
+        g._pairs_layout = pairs_layout
         return g
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -195,7 +211,7 @@ def _gather(bits: int, steps: list[tuple[int, int]]) -> int:
     return bits
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # every order the short form takes, 0..62
 def _g6_layout(n: int) -> tuple:
     """Tables of the order-n graph6 codec.
 

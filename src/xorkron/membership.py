@@ -112,14 +112,14 @@ class GridLabeling:
         return tuple(i * q + j for i, j in self.cells)
 
     @staticmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=16)
     def identity(shape: GridShape) -> GridLabeling:
         """The labeling v -> (v div q, v mod q), built once per shape (it is frozen)."""
         p, q = shape
         return GridLabeling(shape, tuple((v // q, v % q) for v in range(p * q)))
 
 
-@lru_cache(maxsize=8)  # asked for only once the cell count matched, so no larger than a labeling
+@lru_cache(maxsize=16)  # asked for only once the cell count matched, so no larger than a labeling
 def _grid_cells(p: int, q: int) -> frozenset[tuple[int, int]]:
     """The cells (i, j), 0 <= i < p and 0 <= j < q, of the p x q grid."""
     return frozenset(product(range(p), range(q)))
@@ -325,7 +325,7 @@ def _edge_defect(k: Graph, q: int, u: int, v: int) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # the 16 shapes used last; most of the 124 MB t2 takes at (100,100) is one table
 def _pair_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The reads of _pair_rows at shape (p, q): C(p,2)*(q-1) terms, none per cross.
 
@@ -346,11 +346,18 @@ def _pair_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
     """Pair matrix of k under the grid labeling, or None when k is not a labeled member.
 
-    The read-off and member test of the module docstring: row (i, i2) holds the
-    edges (i, j) ~ (i2, j2), j < j2, and its swapped read the other diagonals;
-    k is a member iff row pairs read the same both ways and k has twice as many
-    edges as the pair matrix has bits, none left for a grid row or column.
+    A census member carries its matrix for its own p and q, and gets it back
+    cut into rows. Any other graph, or a census member asked at another shape,
+    takes the read-off and member test of the module docstring: row (i, i2)
+    holds the edges (i, j) ~ (i2, j2), j < j2, and its swapped read the other
+    diagonals; k is a member iff row pairs read the same both ways and k has
+    twice as many edges as the pair matrix has bits, none left for a grid row
+    or column.
     """
+    carried = k._pairs_layout
+    if carried is not None and carried[0] == shape.p and carried[1] == shape.q:
+        pairs, mask = k._pairs, carried[3]
+        return tuple([pairs >> s & mask for s in carried[2]])
     p, q = shape
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
@@ -464,6 +471,13 @@ def census(shape: GridShape) -> Iterator[Graph]:
     (6-bit group k at byte k) and takes the same step with one XOR with
     field_delta[b], two field bits per cross. Each member is handed it, so
     graph6_encode writes a member without packing its rows.
+
+    A third int holds the pair matrix in pair_matrix's layout, row r at bit
+    r*C(q,2), so the bit of a cross is the index of its quadruple, and takes
+    the same step with one XOR with pair_delta[b]. Each member is handed it
+    with one layout tuple shared by the whole census, so pair_matrix, t2_exact,
+    is_spanning_cross_like and find_violation at this shape cut the matrix
+    into rows instead of reading it off the adjacency rows.
     """
     p, q = shape
     n = p * q
@@ -486,13 +500,17 @@ def census(shape: GridShape) -> Iterator[Graph]:
         field_acc ^= 1 << _g6_bit(u, v) ^ 1 << _g6_bit(x, y)
         delta.append(acc)
         field_delta.append(field_acc)
-    state = field = 0
-    yield Graph._trusted(n, [0] * n, 0, 0)
-    for c in range(1, 1 << len(delta)):
+    m, row_bits = len(delta), q * (q - 1) // 2
+    pair_delta = [((2 << b) - 1) << m - 1 - b for b in range(m)]  # bit b of c is quadruple m - 1 - b
+    layout = (p, q, tuple(range(0, m, row_bits)), (1 << row_bits) - 1)
+    state = field = pairs = 0
+    yield Graph._trusted(n, [0] * n, 0, 0, 0, layout)
+    for c in range(1, 1 << m):
         b = (c & -c).bit_length() - 1
         state ^= delta[b]
         field ^= field_delta[b]
-        yield Graph._trusted(n, unpack(state.to_bytes(size, "little")), 2 * c.bit_count(), field)
+        pairs ^= pair_delta[b]
+        yield Graph._trusted(n, unpack(state.to_bytes(size, "little")), 2 * c.bit_count(), field, pairs, layout)
 
 
 def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:

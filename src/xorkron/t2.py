@@ -21,7 +21,8 @@ def pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:
     Row r stands for the r-th grid-row pair (i, i2) and bit t of rows[r] for
     the t-th grid-column pair (j, j2), both in the lexicographic order of
     itertools.combinations. The bit is set iff the cross (i, i2, j, j2) is a
-    summand of k. The rows are read straight off k's adjacency rows.
+    summand of k. A census member hands over the matrix it carries for this
+    shape; any other graph has its rows read straight off its adjacency rows.
     """
     return _member_pair_rows(k, shape)
 

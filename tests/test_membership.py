@@ -254,6 +254,42 @@ def test_census_members_keep_their_graph6_field_after_the_generator_runs_on():
     assert [graph6_encode(k) for k in early] == [graph6_encode(_census_member(shape, c)) for c in range(6)]
 
 
+def _answer(f, k: Graph, shape: GridShape):
+    """f(k, shape), or the text of the ValueError it raises."""
+    try:
+        return f(k, shape)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_carried_pair_matrix_is_read(k: Graph, shapes: list[GridShape]) -> None:
+    """The pair-matrix deciders answer on k at each shape as on its slot-free copy."""
+    copy = Graph(k.n, k.rows)
+    assert k._pairs_layout is not None and copy._pairs_layout is None
+    for shape in shapes:
+        for f in (pair_matrix, t2_exact, is_spanning_cross_like):
+            assert _answer(f, k, shape) == _answer(f, copy, shape), (f.__name__, shape, k)
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 3), (2, 4), (2, 6)])
+def test_census_members_carry_their_pair_matrix(p, q):
+    # _pair_rows cuts the carried matrix into rows; a copy without it has them read off its adjacency rows.
+    shape = GridShape(p, q)
+    for k in census(shape):
+        _assert_carried_pair_matrix_is_read(k, [shape])
+
+
+@pytest.mark.parametrize("p, q", [(3, 4), (4, 3)])
+def test_census_members_carry_their_pair_matrix_for_their_own_shape_only(p, q):
+    # asked at another shape, on the same 12 vertices or with the same p or q, a member is read off its rows
+    shape = GridShape(p, q)
+    others = [GridShape(a, b) for a, b in [(3, 4), (4, 3), (2, 6), (6, 2), (3, 3), (4, 4)] if (a, b) != (p, q)]
+    picks = set(random.Random(f"census pair matrix {p}x{q}").sample(range(2**18), 2000))
+    for c, k in enumerate(census(shape)):
+        if c in picks:
+            _assert_carried_pair_matrix_is_read(k, [shape, *others])
+
+
 def test_graph6_encode_of_a_census_member_past_62_vertices_still_raises():
     members = census(GridShape(9, 8))
     next(members)
@@ -392,6 +428,26 @@ def test_grid_geometry_of_a_large_shape_is_let_go():
     finally:
         tracemalloc.stop()
     assert grown < 10 * 2**20, f"{grown / 2**20:.0f} MB kept"
+
+
+def test_identity_and_pair_layout_of_a_large_shape_are_let_go():
+    # the identity labeling of (2,5000) and the reads of (40,40) hold about 8 MB; 16 small shapes push them out
+    caches = (GridLabeling.identity, membership._grid_cells, membership._pair_layout)
+    for cache in caches:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        GridLabeling.identity(GridShape(2, 5000))
+        membership._pair_layout(40, 40)
+        for p in range(2, 6):
+            for q in range(2, 6):
+                GridLabeling.identity(GridShape(p, q))
+                membership._pair_layout(p, q)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**20, f"{grown / 2**20:.1f} MB kept"
 
 
 def test_members_at_a_wide_shape_are_decided_within_budget():

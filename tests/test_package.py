@@ -7,12 +7,13 @@ import argparse
 import ast
 import graphlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import xorkron
-from xorkron import membership
+from xorkron import graphs, membership
 from xorkron.cli import build_parser
 
 SRC = Path(xorkron.__file__).resolve().parent.parent
@@ -113,24 +114,47 @@ def _top_level_functions(tree: ast.Module):
 
 
 def test_only_census_hands_a_graph_its_graph6_field():
-    # graph6_encode writes a carried field as it is, so no encoder may store one on the graph it reads.
-    stores, passes, named = [], set(), []
+    # graph6_encode writes a carried field as it is, and _pair_rows cuts a carried pair matrix into rows,
+    # so no other builder may store either on a graph it makes.
+    carried = {"_graph6": (3, ("graph6",)), "_pairs": (4, ("pairs",)), "_pairs_layout": (5, ("pairs_layout",))}
+    stores = {slot: [] for slot in carried}
+    passes = {slot: set() for slot in carried}
+    named = []
     for path in sorted((SRC / "xorkron").glob("*.py")):
         tree = ast.parse(path.read_text())
-        named += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "_graph6"]
+        constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+        named += [(path.stem, value) for value in constants if value in carried]
         for name, func in _top_level_functions(tree):
             for node in ast.walk(func):
-                if isinstance(node, ast.Attribute) and node.attr == "_graph6" and isinstance(node.ctx, ast.Store):
-                    stores.append((path.stem, name))
-                if (
-                    isinstance(node, ast.Call)
-                    and ast.unparse(node.func).endswith("_trusted")
-                    and (len(node.args) > 3 or any(kw.arg in ("graph6", None) for kw in node.keywords))
-                ):
-                    passes.add((path.stem, name))
-    assert named == ["graphs"]  # the __slots__ entry: no setattr by name
-    assert stores == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted")]
-    assert passes == {("membership", "census")}
+                if isinstance(node, ast.Attribute) and node.attr in carried and isinstance(node.ctx, ast.Store):
+                    stores[node.attr].append((path.stem, name))
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_trusted"):
+                    for slot, (position, keywords) in carried.items():
+                        if len(node.args) > position or any(kw.arg in (*keywords, None) for kw in node.keywords):
+                            passes[slot].add((path.stem, name))
+    assert sorted(named) == [("graphs", slot) for slot in sorted(carried)]  # the __slots__ entries: no setattr by name
+    for slot in carried:
+        assert stores[slot] == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted")], slot
+        assert passes[slot] == {("membership", "census")}, slot
+
+
+def test_every_cache_is_bounded():
+    # an unbounded lru_cache keeps every argument it was asked for, with its result, for the life of the process
+    decorators = {}
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cache" not in [alias.name for alias in node.names], path.stem  # functools.cache has no bound
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if "cache" in ast.unparse(dec):
+                        decorators[f"{path.stem}.{node.name}"] = ast.unparse(dec)
+    assert {"graphs._g6_layout", "membership.identity", "membership._pair_layout"} <= set(decorators)
+    bounded = re.compile(r"lru_cache\(maxsize=[1-9]\d*\)")
+    assert {name: dec for name, dec in decorators.items() if not bounded.fullmatch(dec)} == {}
+    # the labeled and census codecs use every short-form order, 0..GRAPH6_MAX_N, and keep all their tables
+    assert graphs._g6_layout.cache_info().maxsize >= graphs.GRAPH6_MAX_N + 1
 
 
 def test_member_certificates_are_built_only_by_the_labeled_decision():

@@ -364,13 +364,19 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
     rows = k.rows
     out = []
     for terms in _pair_layout(p, q):
-        here = there = 0
-        for x, sx, y, sy, mask, off in terms:
-            here |= ((rows[x] >> sx) & mask) << off
-            there |= ((rows[y] >> sy) & mask) << off
-        if here != there:
-            return None
-        out.append(here)
+        runs = []  # (first offset, bits) of each run of 64 terms, joined pairwise: no OR copies a long row
+        for lo in range(0, len(terms), 64):
+            here, base = 0, terms[lo][5]
+            for x, sx, y, sy, mask, off in terms[lo:lo + 64]:
+                part = (rows[x] >> sx) & mask
+                if part != (rows[y] >> sy) & mask:
+                    return None
+                here |= part << off - base
+            runs.append((base, here))
+        while len(runs) > 1:
+            pairs = zip(runs[::2], runs[1::2])
+            runs = [(b1, h1 | h2 << b2 - b1) for (b1, h1), (b2, h2) in pairs] + runs[len(runs) & ~1:]
+        out.append(runs[0][1])
     if k.edge_count != 2 * sum(map(int.bit_count, out)):
         return None
     return tuple(out)
@@ -661,7 +667,10 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
     Past the root splits, the existence test is the completion check of the
     empty placement: it asks for any valid labeling, not the least one. Each
     placement owns its state and each entry point walks its own stack, so the
-    two can interleave and no depth meets the recursion limit.
+    two can interleave and no depth meets the recursion limit. step expands a
+    node over the shape's table canon[rows_used][cols_used] of canonical cells.
+    A faster node must keep the tree: the same placements in the same order and
+    the same masks, so propagate, complete and the root splits run as often.
     """
     p, q = shape
     n = k.n
@@ -673,16 +682,16 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
     if not (_independent_split(k, q, odd_degree) and (p == q or _independent_split(k, p, odd_degree))):
         return lambda: iter(()), lambda: False
     full = (1 << n) - 1
-    lines, rectangles = _grid_geometry(p, q)
+    lines, rectangles, canon = _grid_geometry(p, q)
     deg_at_least = [0] * (n + 1)  # mask of the vertices of degree at least d
     for v in range(n):
         for d in range(degree[v] + 1):
             deg_at_least[d] |= 1 << v
-    later_twins = [0] * n  # mask of the later vertices with v's adjacency row
-    with_row: dict[int, int] = {}
-    for v in reversed(range(n)):
-        later_twins[v] = with_row.get(adj[v], 0)
-        with_row[adj[v]] = later_twins[v] | 1 << v
+    with_row: dict[int, int] = {}  # mask of the vertices with each adjacency row
+    for v in range(n):
+        with_row[adj[v]] = with_row.get(adj[v], 0) | 1 << v
+    later_twins = [with_row[adj[v]] >> v + 1 << v + 1 for v in range(n)]  # the later vertices with v's row
+    earlier_twins = [with_row[adj[v]] & (1 << v) - 1 for v in range(n)]  # and the earlier ones
 
     def tie(out: list[int], live: int, s1: int, m1: int, s2: int, m2: int) -> int:
         """Narrow two empty cells whose vertices lie in m1 and m2 together or not at all; 0 if one empties."""
@@ -745,11 +754,23 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
                 out[s] &= ~later_twins[v]
         # Here and in the rectangles, an empty cell left with no live candidate
         # ends the branch at once: the all-different pass would end it anyway.
+        # The degree sums of v's row and column are even: the last empty cell of
+        # either keeps the parity that makes them so. That narrowing waits until
+        # the rectangles are done, so they read the masks without it.
+        parity = []
         for line in lines[t]:
+            need, odd = 0, degree[v] & 1
             for s in line:
-                out[s] &= ~nb
-                if not out[s] & live and holder[s] < 0:
-                    return None
+                if holder[s] < 0:
+                    out[s] &= ~nb
+                    if not out[s] & live:
+                        return None
+                    need += 1
+                    last = s
+                else:
+                    odd ^= degree[holder[s]] & 1
+            if need == 1:
+                parity.append((last, odd))
         # Each rectangle through t: v ~ (vertex at d) iff (vertex at a) ~ (vertex
         # at b). With a, b and d all placed, v in cand[t] already closes it:
         # cand[t] was narrowed when the last of them was placed. A demand on an
@@ -775,19 +796,8 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
                     return None
             elif yb >= 0 and not tie(out, live, d, nb, a, adj[yb]):
                 return None
-        # The degree sums of v's row and column are even: the last empty cell of
-        # either keeps the parity that makes them so.
-        for line in lines[t]:
-            need = 0
-            odd = degree[v] & 1
-            for s in line:
-                if holder[s] < 0:
-                    need += 1
-                    last = s
-                else:
-                    odd ^= degree[holder[s]] & 1
-            if need == 1:
-                out[last] &= odd_degree if odd else ~odd_degree
+        for last, odd in parity:
+            out[last] &= odd_degree if odd else ~odd_degree
         # All different: each empty cell other than t takes one live vertex and
         # each live vertex one such cell. once and twice mask the vertices that
         # fit at least one and at least two of them; singles the sole candidates.
@@ -828,20 +838,18 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
         bit = 1 << x
         room = later_twins[x].bit_count()
         empty = [s for s in range(n) if holder[s] < 0]
-        for r in range(min(rows_used + 1, p)):
-            for c in range(min(cols_used + 1, q)):
-                t = r * q + c
-                if not cand[t] & bit:
-                    continue
-                # x's later twins need empty cells after t, and fewer are left as t grows.
-                if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
-                    return
-                after = propagate(x, t, cand, holder, live, empty)
-                if after is None:
-                    continue
-                placed = holder[:]
-                placed[t] = x
-                yield t, (after, placed, taken | 1 << t, max(rows_used, r + 1), max(cols_used, c + 1))
+        for t, r1, c1 in canon[rows_used][cols_used]:
+            if not cand[t] & bit:
+                continue
+            # x's later twins need empty cells after t, and fewer are left as t grows.
+            if n - 1 - t - (taken >> (t + 1)).bit_count() < room:
+                return
+            after = propagate(x, t, cand, holder, live, empty)
+            if after is None:
+                continue
+            placed = holder[:]
+            placed[t] = x
+            yield t, (after, placed, taken | 1 << t, max(rows_used, r1), max(cols_used, c1))
 
     def complete(state: tuple, live: int) -> list[int] | None:
         """The completion check: the cell of each vertex in some completion, or None.
@@ -858,7 +866,7 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
                 low = m & -m
                 m ^= low
                 u = low.bit_length() - 1
-                if not with_row[adj[u]] & live & (low - 1):  # u is the least unplaced vertex of its twin class
+                if not earlier_twins[u] & live:  # u is the least unplaced vertex of its twin class
                     key = (adj[u] & ~live).bit_count() * n + degree[u]  # placed neighbours, then degree
                     if key > best:
                         x, best = u, key
@@ -903,13 +911,19 @@ def _labeling_search(k: Graph, shape: GridShape) -> tuple[Callable[[], Iterator[
 
 
 @lru_cache(maxsize=8)  # a handful of shapes stay cached; a large table, about 90 MB at (2,520), is let go
-def _grid_geometry(p: int, q: int) -> tuple[tuple, tuple]:
-    """Per cell t = r*q + c: (row r's other cells, column c's other cells) and the rectangles through t.
+def _grid_geometry(p: int, q: int) -> tuple[tuple, tuple, tuple]:
+    """Per cell t = r*q + c: (row r's other cells, column c's other cells) and the rectangles through t;
+    and canon[i][j], the (t, r + 1, c + 1) of the cells (r, c) with r <= i and c <= j, least first.
 
     Cell order is lexicographic (row, column). A rectangle is given as its
     (opposite corner, same-row corner, same-column corner).
     """
     cells = [(r, c) for r in range(p) for c in range(q)]
+    entries = [(r * q + c, r + 1, c + 1) for r, c in cells]  # one per cell, shared by the canon lists
+    canon = tuple(
+        tuple(tuple(entries[r * q + c] for r in range(min(i + 1, p)) for c in range(min(j + 1, q))) for j in range(q + 1))
+        for i in range(p + 1)
+    )
     lines = tuple(
         (tuple(r * q + c2 for c2 in range(q) if c2 != c), tuple(r2 * q + c for r2 in range(p) if r2 != r))
         for r, c in cells
@@ -924,7 +938,7 @@ def _grid_geometry(p: int, q: int) -> tuple[tuple, tuple]:
         )
         for r, c in cells
     )
-    return lines, rectangles
+    return lines, rectangles, canon
 
 
 def verify_certificate(cert: Certificate) -> list[str]:

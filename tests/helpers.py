@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
+from typing import Callable
 
 from xorkron import (
     Certificate,
@@ -549,3 +551,28 @@ def reference_verify_certificate(cert: Certificate) -> list[str]:
             if membership._labeling_search(k, shape)[1]():
                 problems.append("search-exhausted witness but a full search finds a valid labeling")
     return problems
+
+
+def search_calls(run: Callable[[], object]) -> Counter:
+    """How often run() entered the labeling search's propagate and complete and the root split.
+
+    The calls are counted by code name in xorkron.membership with
+    sys.setprofile, so the library keeps no counter of its own; the profile
+    function in place before is restored afterwards. A generator would count
+    once per resume, and none of the three is one.
+    """
+    names = {"propagate", "complete", "_independent_split"}
+    counts: Counter = Counter()
+
+    def profile(frame, event, arg) -> None:
+        code = frame.f_code
+        if event == "call" and code.co_name in names and code.co_filename == membership.__file__:
+            counts[code.co_name] += 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(before)
+    return counts

@@ -462,6 +462,12 @@ def test_members_at_a_wide_shape_are_decided_within_budget():
         assert cert.empty_decomposition == (not summands)
         assert _within_budget(t2_exact, k, shape) == t2
         assert _within_budget(verify_certificate, cert) == []
+    # the 2500 crosses (0, 1, j, j + 1), j even: growing the pair row term by term took 3-4 s here
+    quads = tuple((0, 1, j, j + 1) for j in range(0, 5000, 2))
+    k = new_graph(10000, [e for _, _, j, j2 in quads for e in ((j, 5000 + j2), (j2, 5000 + j))])
+    cert = _within_budget(is_spanning_cross_like, k, shape)
+    assert cert.verdict and cert.summands == quads
+    assert _within_budget(t2_exact, k, shape) == 1
 
 
 def test_a_member_of_many_crosses_at_a_wide_shape_is_verified_within_budget():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import random
 from itertools import chain, combinations
@@ -48,6 +49,7 @@ from .helpers import (
     least_first_row_partition,
     naive_least_labeling,
     random_graph,
+    search_calls,
     twins_in_order,
 )
 
@@ -397,6 +399,38 @@ def test_searches_run_past_the_recursion_limit():
     assert has_independent_row_partition(g, shape)
     assert list(valid_labelings(g, shape)) == [GridLabeling.identity(shape)]
     assert t2_min_over_labelings(g, shape) == 2
+
+
+def _pinned_cases():
+    """Permuted members and one-edge-moved near-members at (3, 4), (4, 4) and (4, 5); 23 labelings in all."""
+    rng = random.Random(173)
+    for p, q in ((3, 4), (4, 4), (4, 5)):
+        shape = GridShape(p, q)
+        quads = list(pair_quadruples(shape))
+        for share in (0.25, 0.5, 0.75):
+            k = graph_from_quadruples(shape, rng.sample(quads, round(share * len(quads))))
+            for g in (k, _moved_edge(rng, k)):
+                yield _permuted(rng, g), shape
+
+
+def test_valid_labelings_sequences_are_pinned():
+    # every labeling's cells, in the order yielded, hashed as the search of commit f3d62e8 yielded them
+    digest = hashlib.sha256()
+    for g, shape in _pinned_cases():
+        digest.update(repr([lab.cells for lab in valid_labelings(g, shape)]).encode())
+    assert digest.hexdigest() == "15d9aa298a7eec23d892836ba10c6656ac34a0b78cef124197908a90c9edbb00"
+
+
+def test_labeling_search_work_is_pinned():
+    # a node made cheaper must keep the search tree, so the calls made by the enumeration, recognize and
+    # the existence check in verify_certificate stay as commit f3d62e8 made them; dropping the line-parity
+    # narrowing changes them, while an exit that only moves inside a node leaves them as they are
+    def run():
+        for g, shape in _pinned_cases():
+            list(valid_labelings(g, shape))
+            assert verify_certificate(recognize(g, shape)) == []
+
+    assert search_calls(run) == {"propagate": 27748, "complete": 402, "_independent_split": 86}
 
 
 def _recognized_cells(g, shape):

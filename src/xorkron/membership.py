@@ -11,9 +11,9 @@ The decision reads the pair matrix straight off the adjacency rows: row
 That read and its swap (i and i2 exchanged) see each edge between distinct
 rows and columns once, so k is a member iff row pairs read the same both ways
 and the graph has twice as many edges as the pair matrix has bits. The
-summands come off the same reads in sorted order, and the one per-shape table
-is their C(p,2)*(q-1) terms; only a rejected graph walks its edges, to name
-its witness.
+summands and ppt_test's block test come off the same reads, and the only
+table is the q - 1 column terms (j, mask_j, off_j), kept per q; only a
+rejected graph walks its edges, to name its witness.
 
 The module also holds the labeling search. verify_certificate checks a
 search-exhausted witness by asking it whether any valid labeling exists. A
@@ -101,10 +101,6 @@ class GridLabeling:
         for v, (i, j) in enumerate(self.cells):
             if not (0 <= i < p and 0 <= j < q):
                 raise ValueError(f"vertex {v} mapped to cell ({i}, {j}) outside the grid")
-
-    def grid_index(self, v: int) -> int:
-        i, j = self.cells[v]
-        return i * self.shape.q + j
 
     def permutation(self) -> tuple[int, ...]:
         """perm[v] = grid index of v; relabeling by it puts v at its cell."""
@@ -325,21 +321,18 @@ def _edge_defect(k: Graph, q: int, u: int, v: int) -> str | None:
     return None
 
 
-@lru_cache(maxsize=16)  # the 16 shapes used last; most of the 124 MB t2 takes at (100,100) is one table
-def _pair_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The reads of _pair_rows at shape (p, q): C(p,2)*(q-1) terms, none per cross.
+@lru_cache(maxsize=16)  # keyed by q alone: q - 1 terms, fewer than one adjacency row has bits
+def _columns(q: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]:
+    """The reads' terms (j, mask_j, off_j - base) for columns j < q - 1, as (base, terms) per run of 64.
 
-    reads[r] holds, for the r-th row pair (i, i2) of combinations order, one
-    term (i*q + j, i2*q + j + 1, i2*q + j, i*q + j + 1, mask_j, off_j) per
-    column j < q - 1, where mask_j = (1 << (q-1-j)) - 1 and off_j = j(q-1) -
-    j(j-1)/2, the sum of q-1-t over t < j, is the index of column pair
-    (j, j+1). Bit t of (rows[i*q + j] >> (i2*q + j + 1)) & mask_j says whether
-    (i, j) ~ (i2, j + 1 + t).
+    mask_j = (1 << (q-1-j)) - 1, off_j = j(q-1) - j(j-1)/2 indexes column pair
+    (j, j+1) and base is off_j of the run's first column. Bit t of
+    (rows[i*q + j] >> (i2*q + j + 1)) & mask_j says whether (i, j) ~ (i2, j + 1 + t).
     """
-    mask_off = [((1 << (q - 1 - j)) - 1, j * (q - 1) - j * (j - 1) // 2) for j in range(q - 1)]
+    offs = [j * (q - 1) - j * (j - 1) // 2 for j in range(q - 1)]
     return tuple(
-        tuple((i * q + j, i2 * q + j + 1, i2 * q + j, i * q + j + 1, *mask_off[j]) for j in range(q - 1))
-        for i, i2 in combinations(range(p), 2)
+        (offs[lo], tuple((j, (1 << (q - 1 - j)) - 1, offs[j] - offs[lo]) for j in range(lo, min(lo + 64, q - 1))))
+        for lo in range(0, q - 1, 64)
     )
 
 
@@ -348,11 +341,11 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
 
     A census member carries its matrix for its own p and q, and gets it back
     cut into rows. Any other graph, or a census member asked at another shape,
-    takes the read-off and member test of the module docstring: row (i, i2)
-    holds the edges (i, j) ~ (i2, j2), j < j2, and its swapped read the other
-    diagonals; k is a member iff row pairs read the same both ways and k has
-    twice as many edges as the pair matrix has bits, none left for a grid row
-    or column.
+    takes the read-off and member test of the module docstring by the column
+    terms of _columns(q): row (i, i2) holds the edges (i, j) ~ (i2, j2), j < j2,
+    and its swapped read the other diagonals; k is a member iff row pairs read
+    the same both ways and k has twice as many edges as the pair matrix has
+    bits, none left for a grid row or column.
     """
     carried = k._pairs_layout
     if carried is not None and carried[0] == shape.p and carried[1] == shape.q:
@@ -361,17 +354,18 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
     p, q = shape
     if k.n != p * q:
         raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
-    rows = k.rows
+    rows, cols = k.rows, _columns(q)
     out = []
-    for terms in _pair_layout(p, q):
-        runs = []  # (first offset, bits) of each run of 64 terms, joined pairwise: no OR copies a long row
-        for lo in range(0, len(terms), 64):
-            here, base = 0, terms[lo][5]
-            for x, sx, y, sy, mask, off in terms[lo:lo + 64]:
-                part = (rows[x] >> sx) & mask
-                if part != (rows[y] >> sy) & mask:
+    for i, i2 in combinations(range(p), 2):
+        x, sx, y, sy = i * q, i2 * q + 1, i2 * q, i * q + 1
+        runs = []  # (base, bits) of each run of terms, joined pairwise: no OR copies a long row
+        for base, terms in cols:
+            here = 0
+            for j, mask, off in terms:
+                part = (rows[x + j] >> sx + j) & mask
+                if part != (rows[y + j] >> sy + j) & mask:
                     return None
-                here |= part << off - base
+                here |= part << off
             runs.append((base, here))
         while len(runs) > 1:
             pairs = zip(runs[::2], runs[1::2])
@@ -380,6 +374,21 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
     if k.edge_count != 2 * sum(map(int.bit_count, out)):
         return None
     return tuple(out)
+
+
+def _partners_closed(rows: tuple[int, ...], p: int, q: int) -> bool:
+    """True iff, in the symmetric 0/1 matrix rows, every edge between distinct grid rows and columns has its partner.
+
+    It is the compare of _pair_rows, each row pair's read against its swap, with no pair matrix built.
+    """
+    cols = _columns(q)
+    for i, i2 in combinations(range(p), 2):
+        x, sx, y, sy = i * q, i2 * q + 1, i2 * q, i * q + 1
+        for _, terms in cols:
+            for j, mask, _ in terms:
+                if (rows[x + j] >> sx + j ^ rows[y + j] >> sy + j) & mask:
+                    return False
+    return True
 
 
 def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
@@ -393,15 +402,18 @@ def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
 
 def _summands(k: Graph, shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
     """The crosses (i, i2, j, j2) of a labeled member k, sorted, read off its rows by the reads of _pair_rows."""
-    rows = k.rows
+    p, q = shape
+    rows, cols = k.rows, _columns(q)
     out = []
-    for (i, i2), terms in zip(combinations(range(shape.p), 2), _pair_layout(*shape)):
-        for j, (x, sx, _, _, mask, _) in enumerate(terms):
-            m = (rows[x] >> sx) & mask
-            while m:
-                low = m & -m
-                out.append((i, i2, j, j + low.bit_length()))
-                m ^= low
+    for i, i2 in combinations(range(p), 2):
+        x, sx = i * q, i2 * q + 1
+        for _, terms in cols:
+            for j, mask, _ in terms:
+                m = (rows[x + j] >> sx + j) & mask
+                while m:
+                    low = m & -m
+                    out.append((i, i2, j, j + low.bit_length()))
+                    m ^= low
     return tuple(out)
 
 

@@ -1,10 +1,9 @@
-"""Blockwise partial transpose of square 0/1 matrices and the fixed-point test."""
+"""Blockwise partial transpose of square 0/1 matrices, and the fixed-point test by membership's block reads."""
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graphs import Graph
+from .membership import _partners_closed
 
 
 def partial_transpose(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -51,10 +50,11 @@ def ppt_test(k: Graph, p: int) -> bool:
     distinct columns has its partner, the other diagonal of its grid
     rectangle; equivalently, iff k without its same-row and same-column edges
     is a labeled member. Proof sketch: the transpose swaps the two diagonals
-    of every grid rectangle and fixes same-line pairs. The test compares
-    each off-diagonal block with its transpose, C(p,2)*(q-1) steps, unless
-    building the whole transpose takes fewer, p*q*q, as on grids more than
-    about twice as tall as wide.
+    of every grid rectangle and fixes same-line pairs. So the test is the
+    compare of the labeled member test, C(p,2)*(q-1) steps over the upper
+    triangle of each off-diagonal block and its swap, with no pair matrix
+    built; only where the whole transpose takes fewer steps, p*q*q, as on
+    grids more than about twice as tall as wide, is it built and compared.
     """
     if p < 2:
         raise ValueError(f"partial-transpose test needs p >= 2, got {p}")
@@ -66,25 +66,6 @@ def ppt_test(k: Graph, p: int) -> bool:
     if (p - 1) * (q - 1) > 2 * q * q:  # C(p,2)*(q-1) > p*q*q
         return partial_transpose(k.rows, p) == k.rows
     return _partners_closed(k.rows, p, q)
-
-
-def _partners_closed(rows: tuple[int, ...], p: int, q: int) -> bool:
-    """True iff every off-diagonal q x q block of the symmetric matrix equals its transpose.
-
-    Block (i, i2) holds the edges (i, j) ~ (i2, j2), so it is symmetric iff
-    every edge joining distinct grid rows and columns has its partner
-    (i, j2) ~ (i2, j). Row j of the block is the slice of rows[i*q + j] at
-    block column i2, and row j of its transpose the slice of rows[i2*q + j]
-    at block column i. Rows 0..q-2 settle every entry off the diagonal, so
-    C(p,2)*(q-1) slice comparisons and no table decide it.
-    """
-    block = (1 << q) - 1
-    for i, i2 in combinations(range(p), 2):
-        a, b = i * q, i2 * q
-        for j in range(q - 1):
-            if (rows[a + j] >> b ^ rows[b + j] >> a) & block:
-                return False
-    return True
 
 
 def format_matrix_text(rows: tuple[int, ...] | list[int], n: int) -> str:

@@ -40,6 +40,7 @@ from xorkron import (
     new_graph,
     pair_matrix,
     pair_quadruples,
+    ppt_test,
     recognize,
     standard_graph,
     t2_exact,
@@ -430,24 +431,48 @@ def test_grid_geometry_of_a_large_shape_is_let_go():
     assert grown < 10 * 2**20, f"{grown / 2**20:.0f} MB kept"
 
 
-def test_identity_and_pair_layout_of_a_large_shape_are_let_go():
-    # the identity labeling of (2,5000) and the reads of (40,40) hold about 8 MB; 16 small shapes push them out
-    caches = (GridLabeling.identity, membership._grid_cells, membership._pair_layout)
+def test_identity_and_grid_cells_of_a_large_shape_are_let_go():
+    # the identity labeling of (2,5000) and its cell set hold about 2 MB; 16 small shapes push them out
+    caches = (GridLabeling.identity, membership._grid_cells)
     for cache in caches:
         cache.cache_clear()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         GridLabeling.identity(GridShape(2, 5000))
-        membership._pair_layout(40, 40)
         for p in range(2, 6):
             for q in range(2, 6):
                 GridLabeling.identity(GridShape(p, q))
-                membership._pair_layout(p, q)
         grown = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
     assert grown < 2**20, f"{grown / 2**20:.1f} MB kept"
+
+
+def test_the_block_reader_keeps_nothing_that_grows_with_p():
+    # a table of the C(p,2)*(q-1) reads took about 6 MB at (40,40); the pair matrix of 100 crosses takes 0.1 MB
+    shape = GridShape(40, 40)
+    rng = random.Random("reader:40x40")
+    quads: set[tuple[int, int, int, int]] = set()
+    while len(quads) < 100:
+        quads.add((*sorted(rng.sample(range(40), 2)), *sorted(rng.sample(range(40), 2))))
+    k = graph_from_quadruples(shape, sorted(quads))
+    for f, args in ((is_spanning_cross_like, (k, shape)), (t2_exact, (k, shape)), (ppt_test, (k, 40))):
+        membership._columns.cache_clear()
+        tracemalloc.start()
+        try:
+            value = f(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value not in (False, None), f.__name__
+        assert peak < 2**20, f"{f.__name__} peaked at {peak / 2**20:.1f} MB"
+    # the column terms are keyed by q alone: member, ppt and t2 reads at three heights share one entry
+    membership._columns.cache_clear()
+    is_spanning_cross_like(standard_graph("edgeless", 15), GridShape(3, 5))
+    ppt_test(standard_graph("edgeless", 35), 7)
+    t2_exact(standard_graph("edgeless", 200), GridShape(40, 5))
+    assert membership._columns.cache_info().currsize == 1
 
 
 def test_members_at_a_wide_shape_are_decided_within_budget():

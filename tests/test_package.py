@@ -150,7 +150,7 @@ def test_every_cache_is_bounded():
                 for dec in node.decorator_list:
                     if "cache" in ast.unparse(dec):
                         decorators[f"{path.stem}.{node.name}"] = ast.unparse(dec)
-    assert {"graphs._g6_layout", "membership.identity", "membership._pair_layout"} <= set(decorators)
+    assert {"graphs._g6_layout", "membership.identity", "membership._columns"} <= set(decorators)
     bounded = re.compile(r"lru_cache\(maxsize=[1-9]\d*\)")
     assert {name: dec for name, dec in decorators.items() if not bounded.fullmatch(dec)} == {}
     # the labeled and census codecs use every short-form order, 0..GRAPH6_MAX_N, and keep all their tables

@@ -43,9 +43,18 @@ class Graph:
     _pairs_layout, the (p, q, row shifts, row mask) that says for which grid
     it holds and where its rows lie; membership reads the matrix from them
     instead of off the rows. Every other graph leaves all three None.
+
+    _block_read is written by one function, membership._pair_rows, on the
+    first read of the blocks at a grid shape: (p, q, result), where result
+    is the pair matrix of a labeled member, True when every cross has its
+    partner but an edge lies within a grid row or column, and False when a
+    cross lacks its partner. The member test, pair_matrix, t2_exact,
+    find_violation and ppt_test at that shape answer from it; a read at
+    another shape replaces it. No private slot enters equality, hashing or
+    repr.
     """
 
-    __slots__ = ("n", "rows", "_edge_count", "_graph6", "_pairs", "_pairs_layout")
+    __slots__ = ("n", "rows", "_edge_count", "_graph6", "_pairs", "_pairs_layout", "_block_read")
 
     def __init__(self, n: int, rows: Sequence[int]) -> None:
         if n < 0:
@@ -72,6 +81,7 @@ class Graph:
         self._graph6 = None
         self._pairs = None
         self._pairs_layout = None
+        self._block_read = None
 
     @classmethod
     def _trusted(
@@ -101,6 +111,7 @@ class Graph:
         g._graph6 = graph6
         g._pairs = pairs
         g._pairs_layout = pairs_layout
+        g._block_read = None
         return g
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -12,8 +12,12 @@ That read and its swap (i and i2 exchanged) see each edge between distinct
 rows and columns once, so k is a member iff row pairs read the same both ways
 and the graph has twice as many edges as the pair matrix has bits. The
 summands and ppt_test's block test come off the same reads, and the only
-table is the q - 1 column terms (j, mask_j, off_j), kept per q; only a
-rejected graph walks its edges, to name its witness.
+table is the q - 1 column terms (j, mask_j, off_j), kept per q. The first
+read of a graph at a shape is kept on it (Graph._block_read), so the member
+test, pair_matrix, t2_exact, find_violation and ppt_test at that shape read
+its blocks once between them. A rejected graph names its witness from row
+slices, never edge by edge: first the least edge within a grid row or
+column, then the least edge whose partner is missing.
 
 The module also holds the labeling search. verify_certificate checks a
 search-exhausted witness by asking it whether any valid labeling exists. A
@@ -35,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, product
-from operator import countOf, lt
+from operator import and_, countOf, lt
 from struct import Struct
 from typing import Callable, Iterator, Sequence
 
@@ -133,6 +137,18 @@ class Witness:
             raise ValueError(f"unknown witness reason {self.reason!r}")
 
 
+class _Crosses(tuple):
+    """A summand list known to hold exact-int 4-tuples in strictly increasing order.
+
+    Only the decider (_summands) and Certificate.from_dict make one, each once
+    it has checked that; to_json and verify_certificate then skip those tests.
+    A slice, a concatenation or a hand-built list is a plain tuple or list and
+    is tested in full. Whether the crosses fit a shape is not part of it.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Checkable record of one membership verdict.
@@ -150,6 +166,13 @@ class Certificate:
     empty_decomposition: bool = False
 
     def to_dict(self) -> dict:
+        out = self._fields()
+        if type(self.summands) is _Crosses:
+            out["summands"] = list(map(list, self.summands))
+        return out
+
+    def _fields(self) -> dict:
+        """to_dict, but with a checked summand list (_Crosses) left as its tuples."""
         out: dict = {
             "verdict": "member" if self.verdict else "non-member",
             "shape": [self.shape.p, self.shape.q],
@@ -157,7 +180,9 @@ class Certificate:
         }
         if self.labeling is not None:
             out["labeling"] = list(map(list, self.labeling.cells))
-        if self.summands is not None:
+        if type(self.summands) is _Crosses:
+            out["summands"] = self.summands
+        elif self.summands is not None:
             out["summands"] = list(map(list, self.summands))
         if self.witness is not None:
             out["witness"] = {"reason": self.witness.reason}
@@ -170,11 +195,15 @@ class Certificate:
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2); the shape, cells and summands, when ints, fill %d templates.
 
-        The indent selects the pure-Python encoder, so only lists and dicts that miss the templates take it.
+        A checked summand list (_Crosses) fills its template from its tuples as they are; any other list
+        is copied to lists and tested first. The indent selects the pure-Python encoder, so only lists and
+        dicts that miss the templates take it.
         """
         fields = []
-        for key, value in self.to_dict().items():
-            if key in ("labeling", "summands") and value and value[0] and _int_lists(value, len(value[0])):
+        for key, value in self._fields().items():
+            if key in ("labeling", "summands") and value and (
+                type(value) is _Crosses or value[0] and _int_lists(value, len(value[0]))
+            ):
                 item = "    [\n" + ",\n".join(["      %d"] * len(value[0])) + "\n    ]"
                 text = "[\n" + ",\n".join([item] * len(value)) % tuple(chain.from_iterable(value)) + "\n  ]"
             elif key == "shape" and _int_lists([value], 2):
@@ -204,6 +233,8 @@ class Certificate:
             summands = _int_tuples(_list_of(data["summands"], "summands"), 4, "summand")
             if not _crosses(summands, shape):
                 raise ValueError(next(filter(None, (_summand_problem(s, shape) for s in summands))))
+            if all(map(lt, summands, summands[1:])):
+                summands = _Crosses(summands)
         witness = None
         if "witness" in data:
             w = data["witness"]
@@ -295,15 +326,30 @@ def find_violation(k: Graph, shape: GridShape) -> Witness | None:
 
 
 def _first_defect(k: Graph, q: int) -> Witness | None:
-    """The witness of find_violation, by one walk over the edges; None only for a member."""
-    missing = None
-    for u, v in k.edges():
-        reason = _edge_defect(k, q, u, v)
-        if reason == REASON_SAME_LINE:
-            return Witness(reason, (u, v))
-        if reason and missing is None:
-            missing = Witness(reason, (u, v))
-    return missing
+    """The witness of find_violation, from row slices; None only for a member.
+
+    First the least same-line edge: row u is masked by the lines through its
+    cell, its grid row and its grid column. A same-line bit below u would have
+    been found at that lower vertex, so the least bit of the first nonzero
+    meet is the least such edge. Failing that, the least edge missing its
+    partner: for u = (i, j) and each grid row i2 > i, the neighbours (i2, j2)
+    of u less the partners, the cells (i, j2) joined to (i2, j).
+    """
+    rows, n = k.rows, k.n
+    block = (1 << q) - 1
+    lane = ((1 << n) - 1) // block  # bit s*q for each grid row s: column 0
+    lines = (block << u - u % q | lane << u % q for u in range(n))  # a generator: a list would hold n masks of n bits
+    for u, m in enumerate(map(and_, rows, lines)):
+        if m:
+            return Witness(REASON_SAME_LINE, (u, (m & -m).bit_length() - 1))
+    for u, row in enumerate(rows):
+        base = u - u % q
+        if row >> base + q:
+            for x in range(u + q, n, q):  # x = (i2, j): its block at grid row i holds the partners
+                m = row >> x - u + base & block & ~(rows[x] >> base)
+                if m:
+                    return Witness(REASON_MISSING_PARTNER, (u, x - u + base + (m & -m).bit_length() - 1))
+    return None
 
 
 def _edge_defect(k: Graph, q: int, u: int, v: int) -> str | None:
@@ -341,19 +387,40 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
 
     A census member carries its matrix for its own p and q, and gets it back
     cut into rows. Any other graph, or a census member asked at another shape,
-    takes the read-off and member test of the module docstring by the column
-    terms of _columns(q): row (i, i2) holds the edges (i, j) ~ (i2, j2), j < j2,
-    and its swapped read the other diagonals; k is a member iff row pairs read
-    the same both ways and k has twice as many edges as the pair matrix has
-    bits, none left for a grid row or column.
+    has its blocks read once per shape: the first call stores _read_blocks'
+    result on k as k._block_read, and later calls at that shape answer from it.
     """
     carried = k._pairs_layout
     if carried is not None and carried[0] == shape.p and carried[1] == shape.q:
         pairs, mask = k._pairs, carried[3]
         return tuple([pairs >> s & mask for s in carried[2]])
     p, q = shape
-    if k.n != p * q:
-        raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
+    read = _stored_read(k, p, q)
+    if read is None:
+        if k.n != p * q:
+            raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
+        read = _read_blocks(k, p, q)
+        k._block_read = (p, q, read)
+    return read if read.__class__ is tuple else None
+
+
+def _stored_read(k: Graph, p: int, q: int) -> tuple[int, ...] | bool | None:
+    """The _read_blocks result _pair_rows stored on k at (p, q), or None when it stored none there."""
+    read = k._block_read
+    if read is not None and read[0] == p and read[1] == q:
+        return read[2]
+    return None
+
+
+def _read_blocks(k: Graph, p: int, q: int) -> tuple[int, ...] | bool:
+    """The pair matrix of k when a labeled member; else True when every cross has its partner, False when one lacks it.
+
+    The read-off and member test of the module docstring, by the column terms
+    of _columns(q): row (i, i2) holds the edges (i, j) ~ (i2, j2), j < j2, and
+    its swapped read the other diagonals; k is a member iff row pairs read the
+    same both ways and k has twice as many edges as the pair matrix has bits,
+    none left for a grid row or column.
+    """
     rows, cols = k.rows, _columns(q)
     out = []
     for i, i2 in combinations(range(p), 2):
@@ -364,7 +431,7 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
             for j, mask, off in terms:
                 part = (rows[x + j] >> sx + j) & mask
                 if part != (rows[y + j] >> sy + j) & mask:
-                    return None
+                    return False
                 here |= part << off
             runs.append((base, here))
         while len(runs) > 1:
@@ -372,7 +439,7 @@ def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
             runs = [(b1, h1 | h2 << b2 - b1) for (b1, h1), (b2, h2) in pairs] + runs[len(runs) & ~1:]
         out.append(runs[0][1])
     if k.edge_count != 2 * sum(map(int.bit_count, out)):
-        return None
+        return True
     return tuple(out)
 
 
@@ -400,7 +467,7 @@ def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
     return pairs
 
 
-def _summands(k: Graph, shape: GridShape) -> tuple[tuple[int, int, int, int], ...]:
+def _summands(k: Graph, shape: GridShape) -> _Crosses:
     """The crosses (i, i2, j, j2) of a labeled member k, sorted, read off its rows by the reads of _pair_rows."""
     p, q = shape
     rows, cols = k.rows, _columns(q)
@@ -414,7 +481,7 @@ def _summands(k: Graph, shape: GridShape) -> tuple[tuple[int, int, int, int], ..
                     low = m & -m
                     out.append((i, i2, j, j + low.bit_length()))
                     m ^= low
-    return tuple(out)
+    return _Crosses(out)
 
 
 def is_spanning_cross_like(k: Graph, shape: GridShape) -> Certificate:
@@ -962,9 +1029,10 @@ def verify_certificate(cert: Certificate) -> list[str]:
     identity; the identity skips only the relabel, never a check. A member
     passes when its summands, a tuple of int 4-tuples, are crosses of the
     grid in strictly increasing order, its empty_decomposition flag says
-    whether there are none, and they XOR back to the relabeled graph.
-    Distinct crosses toggle disjoint edge pairs, so such a list is the
-    relabeled graph's one decomposition, in the decider's order. Any other
+    whether there are none, and they XOR back to the relabeled graph; a list
+    the decider or from_dict has checked (_Crosses) skips the int and order
+    tests. Distinct crosses toggle disjoint edge pairs, so such a list is
+    the relabeled graph's one decomposition, in the decider's order. Any other
     member reruns the decider, is_spanning_cross_like, only to word its
     problems, and the XOR-back is not repeated. A search-exhausted witness is
     checked by existence: the root splits of valid_labelings, then the
@@ -991,13 +1059,10 @@ def verify_certificate(cert: Certificate) -> list[str]:
             relabeled = k.relabel(cert.labeling.permutation())
         quads = cert.summands
         xored = None
-        if (
-            type(quads) is tuple
-            and cert.empty_decomposition == (not quads)
-            and _int_lists(quads, 4, tuple)
-            and all(map(lt, quads, quads[1:]))
-            and _crosses(quads, shape)
-        ):
+        ordered = type(quads) is _Crosses or (
+            type(quads) is tuple and _int_lists(quads, 4, tuple) and all(map(lt, quads, quads[1:]))
+        )
+        if ordered and cert.empty_decomposition == (not quads) and _crosses(quads, shape):
             xored = graph_from_quadruples(shape, quads)
             if xored == relabeled:
                 return problems

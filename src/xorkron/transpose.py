@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .graphs import Graph
-from .membership import _partners_closed
+from .membership import _partners_closed, _stored_read
 
 
 def partial_transpose(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -55,6 +55,9 @@ def ppt_test(k: Graph, p: int) -> bool:
     triangle of each off-diagonal block and its swap, with no pair matrix
     built; only where the whole transpose takes fewer steps, p*q*q, as on
     grids more than about twice as tall as wide, is it built and compared.
+    A graph whose blocks the member test already read at this p and q (see
+    Graph) answers from that read instead, in either case: the partners
+    are closed unless the read found a cross without its partner.
     """
     if p < 2:
         raise ValueError(f"partial-transpose test needs p >= 2, got {p}")
@@ -63,6 +66,9 @@ def ppt_test(k: Graph, p: int) -> bool:
     q = k.n // p
     if q < 2:
         raise ValueError(f"partial-transpose test needs blocks of size n/p >= 2, got {q}")
+    read = _stored_read(k, p, q)
+    if read is not None:
+        return read is not False
     if (p - 1) * (q - 1) > 2 * q * q:  # C(p,2)*(q-1) > p*q*q
         return partial_transpose(k.rows, p) == k.rows
     return _partners_closed(k.rows, p, q)

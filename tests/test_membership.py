@@ -457,7 +457,9 @@ def test_the_block_reader_keeps_nothing_that_grows_with_p():
     while len(quads) < 100:
         quads.add((*sorted(rng.sample(range(40), 2)), *sorted(rng.sample(range(40), 2))))
     k = graph_from_quadruples(shape, sorted(quads))
-    for f, args in ((is_spanning_cross_like, (k, shape)), (t2_exact, (k, shape)), (ppt_test, (k, 40))):
+    # each call gets its own copy: a graph keeps its first read, which would leave the later two nothing to read
+    for f, args in ((is_spanning_cross_like, (shape,)), (t2_exact, (shape,)), (ppt_test, (40,))):
+        args = (Graph(k.n, k.rows), *args)
         membership._columns.cache_clear()
         tracemalloc.start()
         try:
@@ -473,6 +475,60 @@ def test_the_block_reader_keeps_nothing_that_grows_with_p():
     ppt_test(standard_graph("edgeless", 35), 7)
     t2_exact(standard_graph("edgeless", 200), GridShape(40, 5))
     assert membership._columns.cache_info().currsize == 1
+
+
+def _stored_read_corpus():
+    """Seeded members, each with a one-edge toggle and two same-line edges, at square, wide and tall shapes."""
+    for p, q in ((3, 4), (4, 4), (2, 6), (10, 2), (11, 3)):
+        for k in _seeded_members_toggled(GridShape(p, q), 4):
+            yield k, GridShape(p, q)
+
+
+def _answers(k: Graph, shape: GridShape) -> list:
+    """What ppt_test, pair_matrix, t2_exact and find_violation say of k at shape, ValueError text included.
+
+    ppt_test comes first, so on a graph read at no shape it takes its own block test.
+    """
+    return [
+        ppt_test(k, shape.p),
+        _value_or_error(pair_matrix, k, shape),
+        _value_or_error(t2_exact, k, shape),
+        find_violation(k, shape),
+    ]
+
+
+def test_a_graph_reads_its_blocks_once_per_shape(monkeypatch):
+    # after the member test, t2, the pair matrix, the witness and the ppt test answer from its stored read
+    from xorkron import transpose
+
+    def unread(*args):
+        raise AssertionError("the blocks were read again")
+
+    seen = Counter()
+    for k, shape in _stored_read_corpus():
+        want = _answers(Graph(k.n, k.rows), shape)
+        cert = is_spanning_cross_like(k, shape)
+        seen[cert.witness.reason if cert.witness else "member"] += 1
+        seen["tall"] += (shape.p - 1) * (shape.q - 1) > 2 * shape.q**2  # ppt_test's transpose branch
+        with monkeypatch.context() as m:
+            m.setattr(membership, "_columns", unread)
+            m.setattr(transpose, "partial_transpose", unread)
+            assert _answers(k, shape) == want
+    assert seen.keys() == {"member", REASON_SAME_LINE, REASON_MISSING_PARTNER, "tall"}
+
+
+def test_a_graph_read_at_one_shape_answers_at_every_other_as_a_fresh_one():
+    for k, shape in _stored_read_corpus():
+        copy = Graph(k.n, k.rows)
+        before = (k == copy, hash(k) == hash(copy), repr(k) == repr(copy))
+        is_spanning_cross_like(k, shape)
+        divisors = [p for p in range(2, k.n // 2 + 1) if k.n % p == 0]
+        for p in [*divisors, shape.p]:  # and back at the first shape, whose read the others replaced
+            other = GridShape(p, k.n // p)
+            want = _answers(Graph(k.n, k.rows), other)
+            assert is_spanning_cross_like(k, other) == is_spanning_cross_like(Graph(k.n, k.rows), other)
+            assert _answers(k, other) == want, (k, other)
+        assert before == (k == copy, hash(k) == hash(copy), repr(k) == repr(copy)) == (True, True, True)
 
 
 def test_members_at_a_wide_shape_are_decided_within_budget():
@@ -525,6 +581,12 @@ def _writer_corpus() -> list[Certificate]:
         perm = list(range(p * q))
         rng.shuffle(perm)
         certs.append(recognize(k.relabel(perm), GridShape(p, q)))
+    # the reader's checked list, the same crosses by hand, and an out-of-order list read from JSON
+    member = is_spanning_cross_like(_complete_product(3, 3), GridShape(3, 3))
+    data = json.loads(member.to_json())
+    data["summands"].reverse()
+    certs += [Certificate.from_json(member.to_json()), replace(member, summands=tuple(member.summands))]
+    certs.append(Certificate.from_dict(data))
     certs.append(is_spanning_cross_like(_complete_product(2, 31), GridShape(2, 31)))
     return certs
 
@@ -533,6 +595,10 @@ def test_certificate_writer_matches_the_indenting_json_encoder():
     certs = _writer_corpus()
     for cert in certs:
         assert cert.to_json() == json.dumps(cert.to_dict(), indent=2)
+    # checked lists (the decider's and the reader's) and plain ones, one of them out of order, all took the writer
+    kinds = Counter(type(c.summands) for c in certs if c.summands)
+    assert kinds[membership._Crosses] >= 2 and kinds[tuple] >= 2, kinds
+    assert any(c.summands and c.summands != tuple(sorted(c.summands)) for c in certs)
     labelings = [c.labeling for c in certs if c.labeling is not None]
     assert sum(lab != GridLabeling.identity(lab.shape) for lab in labelings) >= 3
     assert {c.witness.edge is None for c in certs if c.witness} == {True, False}
@@ -734,6 +800,30 @@ def test_verify_certificate_matches_the_decider_rerun_on_tampered_members():
             outcomes[want if isinstance(want, type) else len(want)] += 1
     # each kind of outcome occurs: passes, failures with one and with two problems, and raises
     assert {0, 1, 2, TypeError, ValueError} <= set(outcomes), outcomes
+
+
+def test_only_an_unchanged_list_from_the_decider_or_the_reader_skips_the_checks():
+    shape = GridShape(3, 4)
+    cert = is_spanning_cross_like(graph_from_quadruples(shape, pair_quadruples(shape)[::5]), shape)
+    s = cert.summands
+    assert type(s) is membership._Crosses and len(s) == 4
+    assert type(Certificate.from_json(cert.to_json()).summands) is membership._Crosses
+    # a slice, a concatenation or a copy is a plain tuple, which verify_certificate tests in full
+    assert {type(t) for t in (s[1:], s[:1] + s, s + (), tuple(s), s[::-1])} == {tuple}
+    data = json.loads(cert.to_json())
+    data["summands"] = data["summands"][::-1]
+    backwards = Certificate.from_dict(data)
+    assert type(backwards.summands) is tuple and backwards.summands == s[::-1]
+    assert verify_certificate(backwards) == ["summand list does not match the relabeled graph"]
+    assert verify_certificate(replace(cert, summands=s[:1] + s)) == [
+        "summand list does not match the relabeled graph",
+        "summands do not XOR back to the relabeled graph",
+    ]
+    # the checked list is still tested against the grid it comes with: the 4 x 3 grid has no column 3
+    assert any(j2 == 3 for _, _, _, j2 in s)
+    tall = GridShape(4, 3)
+    moved = replace(cert, shape=tall, labeling=GridLabeling.identity(tall))
+    assert verify_certificate(moved) == reference_verify_certificate(moved) != []
 
 
 def test_verify_certificate_accepts_honest_certs():

@@ -138,6 +138,30 @@ def test_only_census_hands_a_graph_its_graph6_field():
         assert passes[slot] == {("membership", "census")}, slot
 
 
+def test_only_the_block_reader_stores_a_graph_its_block_read():
+    # the member test, t2, the witness and ppt_test answer from a graph's stored read, so only the read may write it
+    stores, named = [], []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "_block_read"]
+        for name, func in _top_level_functions(tree):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "_block_read" and isinstance(node.ctx, ast.Store):
+                    stores.append((path.stem, name))
+    assert named == ["graphs"]  # the __slots__ entry: no setattr by name
+    assert stores == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted"), ("membership", "_pair_rows")]
+
+
+def test_only_the_decider_and_the_reader_make_a_checked_summand_list():
+    # to_json and verify_certificate skip the int and order tests on a _Crosses, so only code that made sure of both may
+    makers = []
+    for path in sorted((SRC / "xorkron").glob("*.py")):
+        for name, func in _top_level_functions(ast.parse(path.read_text())):
+            calls = [sub for sub in ast.walk(func) if isinstance(sub, ast.Call)]
+            makers += [(path.stem, name) for c in calls if ast.unparse(c.func) == "_Crosses"]
+    assert makers == [("membership", "Certificate.from_dict"), ("membership", "_summands")]
+
+
 def test_every_cache_is_bounded():
     # an unbounded lru_cache keeps every argument it was asked for, with its result, for the life of the process
     decorators = {}
@@ -216,14 +240,15 @@ def test_cli_checks_certificates_only_in_verify():
 
 
 def test_certificates_have_one_writer():
-    # Every printed certificate comes from Certificate.to_json, the one caller of to_dict.
+    # Every printed certificate comes from Certificate.to_json. It and to_dict are the two readers of
+    # Certificate._fields, and no library code calls to_dict.
     callers = []
     for path in sorted((SRC / "xorkron").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                calls = [sub for sub in ast.walk(func) if isinstance(sub, ast.Call)]
-                callers += [(path.stem, func.name) for c in calls if ast.unparse(c.func).endswith(".to_dict")]
-    assert callers == [("membership", "to_json")]
+                calls = [ast.unparse(sub.func) for sub in ast.walk(func) if isinstance(sub, ast.Call)]
+                callers += [(path.stem, func.name, c) for c in calls if c.endswith((".to_dict", "._fields"))]
+    assert callers == [("membership", "to_dict", "self._fields"), ("membership", "to_json", "self._fields")]
 
 
 def test_every_command_has_one_name():

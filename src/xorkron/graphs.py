@@ -39,22 +39,22 @@ class Graph:
     such as census, hands it to _trusted and the graph is never counted.
     census also hands over _graph6, the graph6 bit field in the encoder's
     layout (6-bit group k at byte k), which graph6_encode then writes as it
-    is and never sets, and _pairs, its pair matrix as one int, with
-    _pairs_layout, the (p, q, row shifts, row mask) that says for which grid
-    it holds and where its rows lie; membership reads the matrix from them
-    instead of off the rows. Every other graph leaves all three None.
+    is and never sets.
 
-    _block_read is written by one function, membership._pair_rows, on the
-    first read of the blocks at a grid shape: (p, q, result), where result
-    is the pair matrix of a labeled member, True when every cross has its
-    partner but an edge lies within a grid row or column, and False when a
-    cross lacks its partner. The member test, pair_matrix, t2_exact,
-    find_violation and ppt_test at that shape answer from it; a read at
-    another shape replaces it. No private slot enters equality, hashing or
+    _block_read is what is known of the graph's blocks at one grid shape.
+    membership._pair_rows reads it and, past construction, is its one
+    writer; membership._holds_read only asks whether it holds a shape. census hands each member (p, q, pairs, shifts, mask): its
+    pair matrix on the p x q grid as one int, row r at bit shifts[r] under
+    mask. The first read of any other graph, or of a member at another
+    shape, stores (p, q, result): the pair matrix of a labeled member, True
+    when every cross has its partner but an edge lies within a grid row or
+    column, or False when a cross lacks its partner. A read at another shape
+    replaces either, so a member asked at another shape and then at its own
+    is read off its rows there. No private slot enters equality, hashing or
     repr.
     """
 
-    __slots__ = ("n", "rows", "_edge_count", "_graph6", "_pairs", "_pairs_layout", "_block_read")
+    __slots__ = ("n", "rows", "_edge_count", "_graph6", "_block_read")
 
     def __init__(self, n: int, rows: Sequence[int]) -> None:
         if n < 0:
@@ -79,8 +79,6 @@ class Graph:
         self.rows = rows
         self._edge_count = None
         self._graph6 = None
-        self._pairs = None
-        self._pairs_layout = None
         self._block_read = None
 
     @classmethod
@@ -90,28 +88,25 @@ class Graph:
         rows: Iterable[int],
         edge_count: int | None = None,
         graph6: int | None = None,
-        pairs: int | None = None,
-        pairs_layout: tuple[int, int, tuple[int, ...], int] | None = None,
+        block_read: tuple[int, int, int, tuple[int, ...], int] | None = None,
     ) -> Graph:
         """Wrap n rows already known to be in range, symmetric and loop-free.
 
         edge_count, when given, must be the graph's edge count; it is kept
         instead of counted. graph6, when given, must be the graph's graph6 bit
         field with pair (i, j), i < j, at int bit _g6_bit(i, j); graph6_encode
-        writes it instead of packing the rows. pairs, when given with
-        pairs_layout = (p, q, shifts, mask), must be the graph's pair matrix
-        on the p x q grid, a labeled member there, with row r at bit shifts[r]
-        and mask covering one row; membership._pair_rows returns those rows
-        for that grid instead of reading them off the adjacency rows.
+        writes it instead of packing the rows. block_read, when given, must be
+        (p, q, pairs, shifts, mask) for a labeled member of the p x q grid,
+        pairs its pair matrix with row r at bit shifts[r] and mask covering
+        one row; membership._pair_rows cuts it into rows at that grid instead
+        of reading the adjacency rows.
         """
         g = object.__new__(cls)
         g.n = n
         g.rows = tuple(rows)
         g._edge_count = edge_count
         g._graph6 = graph6
-        g._pairs = pairs
-        g._pairs_layout = pairs_layout
-        g._block_read = None
+        g._block_read = block_read
         return g
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -11,13 +11,15 @@ The decision reads the pair matrix straight off the adjacency rows: row
 That read and its swap (i and i2 exchanged) see each edge between distinct
 rows and columns once, so k is a member iff row pairs read the same both ways
 and the graph has twice as many edges as the pair matrix has bits. The
-summands and ppt_test's block test come off the same reads, and the only
-table is the q - 1 column terms (j, mask_j, off_j), kept per q. The first
-read of a graph at a shape is kept on it (Graph._block_read), so the member
-test, pair_matrix, t2_exact, find_violation and ppt_test at that shape read
-its blocks once between them. A rejected graph names its witness from row
-slices, never edge by edge: first the least edge within a grid row or
-column, then the least edge whose partner is missing.
+summands come off the same reads, and the only table is the q - 1 column
+terms (j, mask_j, off_j), kept per q. One reader, _pair_rows, answers the
+member test, pair_matrix, t2_exact, find_violation and ppt_test from one
+record on the graph, Graph._block_read: a census member's carried matrix,
+cut into rows at its own shape, or the first read at a shape, kept there,
+so a graph's blocks are read at most once per shape. A rejected graph
+names its witness from row slices, never edge by edge: first the least
+edge within a grid row or column, then the least edge whose partner is
+missing.
 
 The module also holds the labeling search. verify_certificate checks a
 search-exhausted witness by asking it whether any valid labeling exists. A
@@ -320,7 +322,7 @@ def find_violation(k: Graph, shape: GridShape) -> Witness | None:
     Same-row and same-column edges are reported before missing cross partners
     so the witness names the most local defect available.
     """
-    if _pair_rows(k, shape) is not None:
+    if isinstance(_pair_rows(k, shape.p, shape.q), tuple):
         return None
     return _first_defect(k, shape.q)
 
@@ -382,34 +384,31 @@ def _columns(q: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
     )
 
 
-def _pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...] | None:
-    """Pair matrix of k under the grid labeling, or None when k is not a labeled member.
+def _pair_rows(k: Graph, p: int, q: int) -> tuple[int, ...] | bool:
+    """What k's blocks say on the p x q grid: _read_blocks' result, kept in k._block_read.
 
-    A census member carries its matrix for its own p and q, and gets it back
-    cut into rows. Any other graph, or a census member asked at another shape,
-    has its blocks read once per shape: the first call stores _read_blocks'
-    result on k as k._block_read, and later calls at that shape answer from it.
+    A census member's entry, (p, q, pairs, shifts, mask), is cut into rows at
+    its own p and q. Any other graph, or a member asked at another shape, has
+    its blocks read once per shape: the first call stores (p, q, result) in
+    the slot, and later calls at that shape answer from it.
     """
-    carried = k._pairs_layout
-    if carried is not None and carried[0] == shape.p and carried[1] == shape.q:
-        pairs, mask = k._pairs, carried[3]
-        return tuple([pairs >> s & mask for s in carried[2]])
-    p, q = shape
-    read = _stored_read(k, p, q)
-    if read is None:
+    read = k._block_read
+    if read is None or read[0] != p or read[1] != q:
         if k.n != p * q:
             raise ValueError(f"graph has {k.n} vertices, grid needs {p * q}")
-        read = _read_blocks(k, p, q)
-        k._block_read = (p, q, read)
-    return read if read.__class__ is tuple else None
-
-
-def _stored_read(k: Graph, p: int, q: int) -> tuple[int, ...] | bool | None:
-    """The _read_blocks result _pair_rows stored on k at (p, q), or None when it stored none there."""
-    read = k._block_read
-    if read is not None and read[0] == p and read[1] == q:
+        result = _read_blocks(k, p, q)
+        k._block_read = (p, q, result)
+        return result
+    if len(read) == 3:
         return read[2]
-    return None
+    _, _, pairs, shifts, mask = read
+    return tuple([pairs >> s & mask for s in shifts])
+
+
+def _holds_read(k: Graph, p: int, q: int) -> bool:
+    """Whether _pair_rows would answer for k at (p, q) without reading its rows."""
+    read = k._block_read
+    return read is not None and read[0] == p and read[1] == q
 
 
 def _read_blocks(k: Graph, p: int, q: int) -> tuple[int, ...] | bool:
@@ -443,25 +442,10 @@ def _read_blocks(k: Graph, p: int, q: int) -> tuple[int, ...] | bool:
     return tuple(out)
 
 
-def _partners_closed(rows: tuple[int, ...], p: int, q: int) -> bool:
-    """True iff, in the symmetric 0/1 matrix rows, every edge between distinct grid rows and columns has its partner.
-
-    It is the compare of _pair_rows, each row pair's read against its swap, with no pair matrix built.
-    """
-    cols = _columns(q)
-    for i, i2 in combinations(range(p), 2):
-        x, sx, y, sy = i * q, i2 * q + 1, i2 * q, i * q + 1
-        for _, terms in cols:
-            for j, mask, _ in terms:
-                if (rows[x + j] >> sx + j ^ rows[y + j] >> sy + j) & mask:
-                    return False
-    return True
-
-
 def _member_pair_rows(k: Graph, shape: GridShape) -> tuple[int, ...]:
-    """_pair_rows of a labeled member; raises ValueError naming the witness otherwise."""
-    pairs = _pair_rows(k, shape)
-    if pairs is None:
+    """The pair matrix of a labeled member, from _pair_rows; raises ValueError naming the witness otherwise."""
+    pairs = _pair_rows(k, shape.p, shape.q)
+    if not isinstance(pairs, tuple):
         w = _first_defect(k, shape.q)
         raise ValueError(f"not a labeled member: {w.reason} at edge {w.edge}")
     return pairs
@@ -486,7 +470,7 @@ def _summands(k: Graph, shape: GridShape) -> _Crosses:
 
 def is_spanning_cross_like(k: Graph, shape: GridShape) -> Certificate:
     """Decide labeled membership for k under the identity grid labeling."""
-    if _pair_rows(k, shape) is None:
+    if not isinstance(_pair_rows(k, shape.p, shape.q), tuple):
         return Certificate(False, shape, k, witness=_first_defect(k, shape.q))
     quads = _summands(k, shape)
     return Certificate(
@@ -560,9 +544,10 @@ def census(shape: GridShape) -> Iterator[Graph]:
     A third int holds the pair matrix in pair_matrix's layout, row r at bit
     r*C(q,2), so the bit of a cross is the index of its quadruple, and takes
     the same step with one XOR with pair_delta[b]. Each member is handed it
-    with one layout tuple shared by the whole census, so pair_matrix, t2_exact,
-    is_spanning_cross_like and find_violation at this shape cut the matrix
-    into rows instead of reading it off the adjacency rows.
+    as its block read, (p, q, pairs, shifts, mask), the row shifts and mask
+    worked out once for the whole census. So pair_matrix, t2_exact,
+    is_spanning_cross_like, find_violation and ppt_test at this shape cut the
+    matrix into rows instead of reading the adjacency rows.
     """
     p, q = shape
     n = p * q
@@ -587,15 +572,16 @@ def census(shape: GridShape) -> Iterator[Graph]:
         field_delta.append(field_acc)
     m, row_bits = len(delta), q * (q - 1) // 2
     pair_delta = [((2 << b) - 1) << m - 1 - b for b in range(m)]  # bit b of c is quadruple m - 1 - b
-    layout = (p, q, tuple(range(0, m, row_bits)), (1 << row_bits) - 1)
+    shifts, mask = tuple(range(0, m, row_bits)), (1 << row_bits) - 1
     state = field = pairs = 0
-    yield Graph._trusted(n, [0] * n, 0, 0, 0, layout)
+    yield Graph._trusted(n, [0] * n, 0, 0, (p, q, 0, shifts, mask))
     for c in range(1, 1 << m):
         b = (c & -c).bit_length() - 1
         state ^= delta[b]
         field ^= field_delta[b]
         pairs ^= pair_delta[b]
-        yield Graph._trusted(n, unpack(state.to_bytes(size, "little")), 2 * c.bit_count(), field, pairs, layout)
+        rows = unpack(state.to_bytes(size, "little"))
+        yield Graph._trusted(n, rows, 2 * c.bit_count(), field, (p, q, pairs, shifts, mask))
 
 
 def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:

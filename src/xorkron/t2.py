@@ -22,7 +22,8 @@ def pair_matrix(k: Graph, shape: GridShape) -> tuple[int, ...]:
     the t-th grid-column pair (j, j2), both in the lexicographic order of
     itertools.combinations. The bit is set iff the cross (i, i2, j, j2) is a
     summand of k. A census member hands over the matrix it carries for this
-    shape; any other graph has its rows read straight off its adjacency rows.
+    shape; any other graph has its rows read off its adjacency rows, once per
+    shape, by membership's block reader.
     """
     return _member_pair_rows(k, shape)
 

@@ -1,9 +1,9 @@
-"""Blockwise partial transpose of square 0/1 matrices, and the fixed-point test by membership's block reads."""
+"""Blockwise partial transpose of square 0/1 matrices, and the fixed-point test by membership's block reader."""
 
 from __future__ import annotations
 
 from .graphs import Graph
-from .membership import _partners_closed, _stored_read
+from .membership import _holds_read, _pair_rows
 
 
 def partial_transpose(rows: tuple[int, ...], p: int) -> tuple[int, ...]:
@@ -51,13 +51,15 @@ def ppt_test(k: Graph, p: int) -> bool:
     rectangle; equivalently, iff k without its same-row and same-column edges
     is a labeled member. Proof sketch: the transpose swaps the two diagonals
     of every grid rectangle and fixes same-line pairs. So the test is the
-    compare of the labeled member test, C(p,2)*(q-1) steps over the upper
-    triangle of each off-diagonal block and its swap, with no pair matrix
-    built; only where the whole transpose takes fewer steps, p*q*q, as on
-    grids more than about twice as tall as wide, is it built and compared.
-    A graph whose blocks the member test already read at this p and q (see
-    Graph) answers from that read instead, in either case: the partners
-    are closed unless the read found a cross without its partner.
+    compare of the labeled member test, and ppt_test asks membership's one
+    block reader, _pair_rows: the partners are closed unless the read found
+    a cross without its partner. A census member at its own shape answers
+    from the matrix it carries; any other graph is read in C(p,2)*(q-1)
+    steps, and the read, with the pair matrix of a member, is kept on it for
+    the member test, t2 and the witness at this shape. Only on a graph with
+    no record at this shape, where the whole transpose takes fewer steps,
+    p*q*q, as on grids more than about twice as tall as wide, is the
+    transpose built and compared instead, and nothing is kept.
     """
     if p < 2:
         raise ValueError(f"partial-transpose test needs p >= 2, got {p}")
@@ -66,12 +68,9 @@ def ppt_test(k: Graph, p: int) -> bool:
     q = k.n // p
     if q < 2:
         raise ValueError(f"partial-transpose test needs blocks of size n/p >= 2, got {q}")
-    read = _stored_read(k, p, q)
-    if read is not None:
-        return read is not False
-    if (p - 1) * (q - 1) > 2 * q * q:  # C(p,2)*(q-1) > p*q*q
+    if (p - 1) * (q - 1) > 2 * q * q and not _holds_read(k, p, q):  # C(p,2)*(q-1) > p*q*q
         return partial_transpose(k.rows, p) == k.rows
-    return _partners_closed(k.rows, p, q)
+    return _pair_rows(k, p, q) is not False
 
 
 def format_matrix_text(rows: tuple[int, ...] | list[int], n: int) -> str:

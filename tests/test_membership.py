@@ -19,7 +19,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator
 
 import pytest
@@ -263,12 +263,16 @@ def _answer(f, k: Graph, shape: GridShape):
         return f"ValueError: {exc}"
 
 
+def _ppt_test_at(k: Graph, shape: GridShape) -> bool:
+    return ppt_test(k, shape.p)
+
+
 def _assert_carried_pair_matrix_is_read(k: Graph, shapes: list[GridShape]) -> None:
-    """The pair-matrix deciders answer on k at each shape as on its slot-free copy."""
+    """The block-reading deciders answer on k at each shape as on its slot-free copy."""
     copy = Graph(k.n, k.rows)
-    assert k._pairs_layout is not None and copy._pairs_layout is None
+    assert len(k._block_read) == 5 and copy._block_read is None  # census hands over (p, q, pairs, shifts, mask)
     for shape in shapes:
-        for f in (pair_matrix, t2_exact, is_spanning_cross_like):
+        for f in (pair_matrix, t2_exact, is_spanning_cross_like, find_violation, _ppt_test_at):
             assert _answer(f, k, shape) == _answer(f, copy, shape), (f.__name__, shape, k)
 
 
@@ -282,13 +286,40 @@ def test_census_members_carry_their_pair_matrix(p, q):
 
 @pytest.mark.parametrize("p, q", [(3, 4), (4, 3)])
 def test_census_members_carry_their_pair_matrix_for_their_own_shape_only(p, q):
-    # asked at another shape, on the same 12 vertices or with the same p or q, a member is read off its rows
+    # asked at another shape, on the same 12 vertices or with the same p or q, a member is read off its rows;
+    # that read replaces the carried matrix, so back at its own shape the member is read off its rows too
     shape = GridShape(p, q)
     others = [GridShape(a, b) for a, b in [(3, 4), (4, 3), (2, 6), (6, 2), (3, 3), (4, 4)] if (a, b) != (p, q)]
     picks = set(random.Random(f"census pair matrix {p}x{q}").sample(range(2**18), 2000))
     for c, k in enumerate(census(shape)):
         if c in picks:
-            _assert_carried_pair_matrix_is_read(k, [shape, *others])
+            _assert_carried_pair_matrix_is_read(k, [shape, *others, shape])
+            assert k._block_read[:2] == (p, q) and len(k._block_read) == 3
+
+
+def test_census_members_answer_ppt_test_from_their_carried_matrix(monkeypatch):
+    # (10, 2) is tall, where ppt_test transposes a graph it holds no read of; member 0 carries the int 0,
+    # which must read as an all-zero matrix and never as False
+    from xorkron import transpose
+
+    def unread(*args):
+        raise AssertionError("the blocks were read")
+
+    runs = [(GridShape(p, q), census(GridShape(p, q))) for p, q in ((2, 2), (3, 3), (2, 6))]
+    runs.append((GridShape(10, 2), islice(census(GridShape(10, 2)), 64)))
+    counts = []
+    with monkeypatch.context() as m:
+        m.setattr(membership, "_columns", unread)
+        m.setattr(transpose, "partial_transpose", unread)
+        for shape, members in runs:
+            counts.append(0)
+            for c, k in enumerate(members):
+                if c == 0:
+                    assert k._block_read[2] == 0
+                    assert pair_matrix(k, shape) == (0,) * (shape.p * (shape.p - 1) // 2)
+                assert ppt_test(k, shape.p) is True, (shape, c)
+                counts[-1] += 1
+    assert counts == [2, 2**9, 2**15, 64]
 
 
 def test_graph6_encode_of_a_census_member_past_62_vertices_still_raises():

@@ -114,9 +114,8 @@ def _top_level_functions(tree: ast.Module):
 
 
 def test_only_census_hands_a_graph_its_graph6_field():
-    # graph6_encode writes a carried field as it is, and _pair_rows cuts a carried pair matrix into rows,
-    # so no other builder may store either on a graph it makes.
-    carried = {"_graph6": (3, ("graph6",)), "_pairs": (4, ("pairs",)), "_pairs_layout": (5, ("pairs_layout",))}
+    # graph6_encode writes a carried field as it is, so no other builder may store one on a graph it makes
+    carried = {"_graph6": (3, ("graph6",))}
     stores = {slot: [] for slot in carried}
     passes = {slot: set() for slot in carried}
     named = []
@@ -139,17 +138,26 @@ def test_only_census_hands_a_graph_its_graph6_field():
 
 
 def test_only_the_block_reader_stores_a_graph_its_block_read():
-    # the member test, t2, the witness and ppt_test answer from a graph's stored read, so only the read may write it
-    stores, named = [], []
+    # the member test, t2, the witness and ppt_test answer from a graph's one block record, so only census may
+    # hand one over, only the read may write one, and every other module asks membership's reader for it
+    stores, passes, names, named = [], set(), set(), []
     for path in sorted((SRC / "xorkron").glob("*.py")):
         tree = ast.parse(path.read_text())
         named += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "_block_read"]
         for name, func in _top_level_functions(tree):
             for node in ast.walk(func):
-                if isinstance(node, ast.Attribute) and node.attr == "_block_read" and isinstance(node.ctx, ast.Store):
-                    stores.append((path.stem, name))
+                if isinstance(node, ast.Attribute) and node.attr == "_block_read":
+                    names.add((path.stem, name))
+                    if isinstance(node.ctx, ast.Store):
+                        stores.append((path.stem, name))
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_trusted"):
+                    if len(node.args) > 4 or any(kw.arg in ("block_read", None) for kw in node.keywords):
+                        passes.add((path.stem, name))
     assert named == ["graphs"]  # the __slots__ entry: no setattr by name
     assert stores == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted"), ("membership", "_pair_rows")]
+    assert passes == {("membership", "census")}
+    assert {stem for stem, _ in names} == {"graphs", "membership"}
+    assert {name for stem, name in names if stem == "membership"} == {"_pair_rows", "_holds_read"}
 
 
 def test_only_the_decider_and_the_reader_make_a_checked_summand_list():

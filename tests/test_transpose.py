@@ -24,7 +24,7 @@ from xorkron import (
     tensor_product,
     two_sum,
 )
-from xorkron.membership import REASON_SAME_LINE, _partners_closed, find_violation
+from xorkron.membership import REASON_SAME_LINE, _read_blocks, find_violation
 
 from .helpers import parse_matrix_text, random_graph, random_nontrivial
 
@@ -158,9 +158,9 @@ def test_ppt_test_agrees_with_the_transpose_on_random_graphs_at_every_divisor():
                 closure = Graph(n, [a | b for a, b in zip(k.rows, partial_transpose(k.rows, p))])
                 u, v = rng.sample(range(n), 2)
                 toggled = two_sum(closure, new_graph(n, [(u, v)]))
-                for g in (k, closure, toggled):  # membership's block test too on tall grids, where ppt_test transposes
+                for g in (k, closure, toggled):  # membership's block read too on tall grids, where ppt_test transposes
                     fixed = partial_transpose(g.rows, p) == g.rows
-                    assert ppt_test(g, p) == _partners_closed(g.rows, p, n // p) == fixed
+                    assert ppt_test(g, p) == (_read_blocks(Graph(n, g.rows), p, n // p) is not False) == fixed
                 assert ppt_test(closure, p)
 
 

@@ -518,7 +518,10 @@ def _stored_read_corpus():
 def _answers(k: Graph, shape: GridShape) -> list:
     """What ppt_test, pair_matrix, t2_exact and find_violation say of k at shape, ValueError text included.
 
-    ppt_test comes first, so on a graph read at no shape it takes its own block test.
+    ppt_test comes first, so on a graph read at no shape its read is the one
+    the others answer from (on a tall grid it transposes and keeps nothing).
+    Its answers are checked against the plain transpose here and, on random
+    graphs at every divisor, in tests/test_transpose.py.
     """
     return [
         ppt_test(k, shape.p),
@@ -538,6 +541,7 @@ def test_a_graph_reads_its_blocks_once_per_shape(monkeypatch):
     seen = Counter()
     for k, shape in _stored_read_corpus():
         want = _answers(Graph(k.n, k.rows), shape)
+        assert want[0] == (transpose.partial_transpose(k.rows, shape.p) == k.rows)
         cert = is_spanning_cross_like(k, shape)
         seen[cert.witness.reason if cert.witness else "member"] += 1
         seen["tall"] += (shape.p - 1) * (shape.q - 1) > 2 * shape.q**2  # ppt_test's transpose branch

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import and_, lshift
 from struct import Struct
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 62
 
@@ -34,12 +34,15 @@ class Graph:
     new_graph and graph6_decode check their own input instead. So equality,
     XOR and neighborhood tests on any Graph are word-wise integer operations.
 
-    edge_count counts the row bits on first use and keeps the result, so each
-    graph is counted at most once; a builder that already knows the count,
-    such as census, hands it to _trusted and the graph is never counted.
-    census also hands over _graph6, the graph6 bit field in the encoder's
-    layout (6-bit group k at byte k), which graph6_encode then writes as it
-    is and never sets.
+    A builder that already knows one of a graph's encodings hands it to
+    _trusted; census hands each member four. The edge count: edge_count counts
+    the row bits on first use and keeps the result, so each graph is counted
+    at most once, and a member is never counted. _graph6, the graph6 bit field
+    in the encoder's layout (6-bit group k at byte k), which graph6_encode then
+    writes as it is and never sets. _block_read, below. And the rows
+    themselves, packed in one int in _row_layout's layout: the member is then
+    a _PackedGraph, which unpacks them on the first read of rows and keeps
+    the tuple, so a consumer that never reads them never unpacks them.
 
     _block_read is what is known of the graph's blocks at one grid shape.
     membership._pair_rows reads it and, past construction, is its one
@@ -89,6 +92,7 @@ class Graph:
         edge_count: int | None = None,
         graph6: int | None = None,
         block_read: tuple[int, int, int, tuple[int, ...], int] | None = None,
+        packed: int | None = None,
     ) -> Graph:
         """Wrap n rows already known to be in range, symmetric and loop-free.
 
@@ -99,11 +103,16 @@ class Graph:
         (p, q, pairs, shifts, mask) for a labeled member of the p x q grid,
         pairs its pair matrix with row r at bit shifts[r] and mask covering
         one row; membership._pair_rows cuts it into rows at that grid instead
-        of reading the adjacency rows.
+        of reading the adjacency rows. packed, when given, must be the rows
+        packed in one int in _row_layout(n)'s layout; rows is then ignored, and
+        the graph is a _PackedGraph that unpacks packed when rows is first read.
         """
-        g = object.__new__(cls)
+        g = object.__new__(cls if packed is None else _PackedGraph)
         g.n = n
-        g.rows = tuple(rows)
+        if packed is None:
+            g.rows = tuple(rows)
+        else:
+            g._packed = packed
         g._edge_count = edge_count
         g._graph6 = graph6
         g._block_read = block_read
@@ -148,6 +157,30 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
+
+
+class _PackedGraph(Graph):
+    """A graph from Graph._trusted(..., packed=...), its rows packed in one int until first read.
+
+    _packed holds that int until rows is first read, and from then on the
+    tuple that _row_layout unpacked it into, so later reads return that same
+    tuple; Graph's own rows slot stays empty. Graph itself keeps rows a plain
+    slot, so attribute loads on every other graph stay as cheap. The property
+    can be set too, since copy and pickle restore every slot by name.
+    """
+
+    __slots__ = ("_packed",)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        rows = self._packed
+        if type(rows) is int:
+            rows = self._packed = _row_layout(self.n)[1](rows)
+        return rows
+
+    @rows.setter
+    def rows(self, rows: tuple[int, ...]) -> None:
+        self._packed = rows
 
 
 def new_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:
@@ -217,6 +250,31 @@ def _gather(bits: int, steps: list[tuple[int, int]]) -> int:
     return bits
 
 
+@lru_cache(maxsize=64)
+def _row_layout(n: int) -> tuple[int, Callable[[int], tuple[int, ...]]]:
+    """(width, unpack) for n adjacency rows packed in one int, row w at bit w*width.
+
+    Up to 64 vertices width is the least of 8, 16, 32 and 64 bits that holds
+    n, and unpack reads the int's bytes with one struct call; past 64 it is a
+    whole number of bytes, and unpack cuts one byte slice per row. Both
+    return the rows as a tuple of ints.
+    """
+    if n <= 64:
+        width = max(8, 1 << max(n - 1, 0).bit_length())
+        size, words = n * width // 8, Struct(f"<{n}{'BHIQ'[(width // 8).bit_length() - 1]}").unpack
+
+        def unpack(bits: int) -> tuple[int, ...]:
+            return words(bits.to_bytes(size, "little"))
+    else:
+        step = -(-n // 8)
+        width, size, starts = 8 * step, n * step, range(0, n * step, step)
+
+        def unpack(bits: int) -> tuple[int, ...]:
+            data = bits.to_bytes(size, "little")
+            return tuple([int.from_bytes(data[a:a + step], "little") for a in starts])
+    return width, unpack
+
+
 @lru_cache(maxsize=64)  # every order the short form takes, 0..62
 def _g6_layout(n: int) -> tuple:
     """Tables of the order-n graph6 codec.
@@ -225,19 +283,18 @@ def _g6_layout(n: int) -> tuple:
     offset j(j-1)/2; groups spreads 6-bit group k to bit 8k. The decoder holds
     the matrix as one int, entry (r, c) at bit r*width + c: columns spreads the
     field into its lower triangle, swaps transposes it by delta swaps, one per
-    bit of an index, and rows unpacks it into width-bit rows.
+    bit of an index, and rows, _row_layout's unpack, cuts it into rows.
     """
     masks = [(1 << j) - 1 for j in range(n)]
     offs = [j * (j - 1) // 2 for j in range(n)]
     ngroups = (n * (n - 1) // 2 + 5) // 6
     groups = _spread_steps([(63, 6 * k, 2 * k) for k in range(ngroups)])
-    width = max(8, 1 << max(n - 1, 0).bit_length())
+    width, rows = _row_layout(n)
     columns = _spread_steps([(mask, off, j * width - off) for j, (mask, off) in enumerate(zip(masks, offs))])
     swaps = []
     for b in range(width.bit_length() - 1):
         lane = sum(1 << c for c in range(width) if c >> b & 1)
         swaps.append((sum(lane << r * width for r in range(width) if not r >> b & 1), (width - 1) << b))
-    rows = Struct(f"<{n}{'BHIQ'[(width // 8).bit_length() - 1]}")
     return masks, offs, ngroups, groups, columns, swaps, rows
 
 
@@ -292,7 +349,7 @@ def graph6_decode(s: str) -> Graph:
     for mask, distance in swaps:
         moved = (matrix ^ matrix >> distance) & mask
         matrix ^= moved ^ moved << distance
-    return Graph._trusted(n, rows.unpack((matrix | lower).to_bytes(rows.size, "little")))
+    return Graph._trusted(n, rows(matrix | lower))
 
 
 def format_edge_list(g: Graph) -> str:

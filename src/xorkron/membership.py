@@ -42,11 +42,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import and_, countOf, lt
-from struct import Struct
 from typing import Callable, Iterator, Sequence
 
 from .algebra import tensor_elementary, two_sum
-from .graphs import Graph, _g6_bit, graph6_decode, graph6_encode
+from .graphs import Graph, _g6_bit, _row_layout, graph6_decode, graph6_encode
 
 REASON_ODD_EDGES = "odd-edge-count"
 REASON_SAME_LINE = "same-row-or-column-edge"
@@ -529,12 +528,15 @@ def census(shape: GridShape) -> Iterator[Graph]:
     quadruple count; the most significant bit selects the first quadruple in
     sorted order. Member count is exactly 2^m.
 
-    All n = p*q rows live in one int, row w at bit w*width, width a whole
-    number of bytes. The step from c - 1 to c toggles the crosses of the bits
+    All n = p*q rows live in one int in graphs._row_layout's layout, row w at
+    bit w*width. The step from c - 1 to c toggles the crosses of the bits
     that change, bits 0..b of c ^ (c - 1), so it is one XOR with delta[b],
     the XOR of those crosses' four row bits (both diagonals in both
-    directions). One unpack of the int's bytes reads the rows back out, and
-    each member is handed its edge count, two per cross of c.
+    directions). Each member is handed that int as it is and unpacks it only
+    when its rows are first read, which graph6_encode, edge_count and the
+    pair-matrix readers below never do; the summands of
+    is_spanning_cross_like, equality and hashing do. Each member is also
+    handed its edge count, two per cross of c.
 
     A second int holds the graph6 bit field in the encoder's spread layout
     (6-bit group k at byte k) and takes the same step with one XOR with
@@ -551,17 +553,7 @@ def census(shape: GridShape) -> Iterator[Graph]:
     """
     p, q = shape
     n = p * q
-    if n <= 64:  # one struct call, each row in the least of B, H, I, Q that holds n bits
-        width = max(8, 1 << (n - 1).bit_length())
-        unpack = Struct(f"<{n}{'BHIQ'[(width // 8).bit_length() - 1]}").unpack
-    else:  # one int per byte slice
-        step = -(-n // 8)
-        width, starts = 8 * step, range(0, n * step, step)
-
-        def unpack(data: bytes) -> list[int]:
-            return [int.from_bytes(data[a:a + step], "little") for a in starts]
-
-    size = n * width // 8
+    width = _row_layout(n)[0]
     # delta[b] and field_delta[b] toggle the crosses of bits 0..b; the low bits take the last quadruples
     delta, field_delta, acc, field_acc = [], [], 0, 0
     for i, i2, j, j2 in reversed(pair_quadruples(shape)):
@@ -574,14 +566,13 @@ def census(shape: GridShape) -> Iterator[Graph]:
     pair_delta = [((2 << b) - 1) << m - 1 - b for b in range(m)]  # bit b of c is quadruple m - 1 - b
     shifts, mask = tuple(range(0, m, row_bits)), (1 << row_bits) - 1
     state = field = pairs = 0
-    yield Graph._trusted(n, [0] * n, 0, 0, (p, q, 0, shifts, mask))
+    yield Graph._trusted(n, None, 0, 0, (p, q, 0, shifts, mask), 0)
     for c in range(1, 1 << m):
         b = (c & -c).bit_length() - 1
         state ^= delta[b]
         field ^= field_delta[b]
         pairs ^= pair_delta[b]
-        rows = unpack(state.to_bytes(size, "little"))
-        yield Graph._trusted(n, rows, 2 * c.bit_count(), field, (p, q, pairs, shifts, mask))
+        yield Graph._trusted(n, None, 2 * c.bit_count(), field, (p, q, pairs, shifts, mask), state)
 
 
 def has_independent_row_partition(k: Graph, shape: GridShape) -> bool:

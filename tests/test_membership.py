@@ -13,7 +13,9 @@ Core claims covered here:
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import time
 import tracemalloc
@@ -49,7 +51,7 @@ from xorkron import (
     valid_labelings,
     verify_certificate,
 )
-from xorkron import membership
+from xorkron import graphs, membership
 from xorkron.membership import (
     REASON_EDGE_BOUND,
     REASON_MISSING_PARTNER,
@@ -320,6 +322,62 @@ def test_census_members_answer_ppt_test_from_their_carried_matrix(monkeypatch):
                 assert ppt_test(k, shape.p) is True, (shape, c)
                 counts[-1] += 1
     assert counts == [2, 2**9, 2**15, 64]
+
+
+def _edge_count_of(k: Graph, shape: GridShape) -> int:
+    return k.edge_count
+
+
+def _graph6_of(k: Graph, shape: GridShape) -> str:
+    return graph6_encode(k)
+
+
+def test_census_members_keep_their_rows_packed_until_read(monkeypatch):
+    # a member carries its edge count, graph6 field and pair matrix, so these answer without unpacking its rows;
+    # (2,33) has 66 vertices, past the struct widths, where graph6_encode refuses before it reads anything
+    def unpacked(packed):
+        raise AssertionError("the rows were unpacked")
+
+    def layout(n):
+        return row_layout(n)[0], unpacked
+
+    row_layout = graphs._row_layout
+
+    readers = (_graph6_of, t2_exact, pair_matrix, _edge_count_of, edge_bound_check, _ppt_test_at)
+    runs = [(GridShape(p, q), census(GridShape(p, q))) for p, q in ((2, 2), (2, 3), (3, 3), (2, 6))]
+    runs.append((GridShape(2, 33), islice(census(GridShape(2, 33)), 64)))
+    members = []
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_row_layout", layout)
+        m.setattr(membership, "_row_layout", layout)
+        for shape, run in runs:
+            for k in run:
+                for f in readers:
+                    _answer(f, k, shape)
+                members.append((shape, k))
+    assert len(members) == 2 + 2**3 + 2**9 + 2**15 + 64
+    c = 0
+    for at, (shape, k) in enumerate(members):
+        c = 0 if at == 0 or shape != members[at - 1][0] else c + 1
+        rows = k.rows
+        assert type(rows) is tuple and all(type(row) is int for row in rows)
+        assert rows == _census_member(shape, c).rows, (shape, c)
+        assert k.rows is rows
+
+
+def _pickled(k: Graph) -> Graph:
+    return pickle.loads(pickle.dumps(k))
+
+
+@pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("p, q, count", [(2, 3, 8), (3, 3, 64), (3, 4, 64), (2, 33, 16)])
+def test_census_members_survive_copy_and_pickle(p, q, count, dup):
+    # the first duplicate is made of a member whose rows were never read, the second of the same member after
+    shape = GridShape(p, q)
+    for c, k in enumerate(islice(census(shape), count)):
+        for other in (dup(k), dup(k)):
+            assert other == k and hash(other) == hash(k) and other.rows == k.rows
+            assert other == _census_member(shape, c) and other.edge_count == k.edge_count
 
 
 def test_graph6_encode_of_a_census_member_past_62_vertices_still_raises():

@@ -80,7 +80,10 @@ def test_every_private_module_name_is_used():
 
 
 def _graph_constructions() -> list[tuple[str, str, str]]:
-    """(module, enclosing function, callee) for each call that makes a Graph instance."""
+    """(module, enclosing function, callee) for each call that makes a Graph instance.
+
+    Any *._trusted call counts, so a subclass's constructor shows up as well as Graph's own.
+    """
     found = []
     for path in sorted((SRC / "xorkron").glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
@@ -90,7 +93,7 @@ def _graph_constructions() -> list[tuple[str, str, str]]:
                 if not isinstance(call, ast.Call):
                     continue
                 callee = ast.unparse(call.func)
-                if callee == "Graph" or callee.startswith("Graph.") or callee.endswith("__new__"):
+                if callee == "Graph" or callee.startswith("Graph.") or callee.endswith(("._trusted", "__new__")):
                     found.append((path.stem, func.name, callee))
     return found
 
@@ -113,51 +116,55 @@ def _top_level_functions(tree: ast.Module):
             yield node.name, node
 
 
-def test_only_census_hands_a_graph_its_graph6_field():
-    # graph6_encode writes a carried field as it is, so no other builder may store one on a graph it makes
-    carried = {"_graph6": (3, ("graph6",))}
-    stores = {slot: [] for slot in carried}
-    passes = {slot: set() for slot in carried}
-    named = []
+def _carried_record(slot: str, position: int, keyword: str):
+    """Where the package names slot, a record census hands a graph through _trusted at position or keyword.
+
+    Returns the modules holding the string slot, the functions that store it, the functions that pass it
+    to a _trusted call, and the functions that read it, each function as (module, name).
+    """
+    named, stores, passes, reads = [], [], set(), set()
     for path in sorted((SRC / "xorkron").glob("*.py")):
         tree = ast.parse(path.read_text())
-        constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
-        named += [(path.stem, value) for value in constants if value in carried]
+        named += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == slot]
         for name, func in _top_level_functions(tree):
             for node in ast.walk(func):
-                if isinstance(node, ast.Attribute) and node.attr in carried and isinstance(node.ctx, ast.Store):
-                    stores[node.attr].append((path.stem, name))
+                if isinstance(node, ast.Attribute) and node.attr == slot:
+                    if isinstance(node.ctx, ast.Store):
+                        stores.append((path.stem, name))
+                    else:
+                        reads.add((path.stem, name))
                 if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_trusted"):
-                    for slot, (position, keywords) in carried.items():
-                        if len(node.args) > position or any(kw.arg in (*keywords, None) for kw in node.keywords):
-                            passes[slot].add((path.stem, name))
-    assert sorted(named) == [("graphs", slot) for slot in sorted(carried)]  # the __slots__ entries: no setattr by name
-    for slot in carried:
-        assert stores[slot] == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted")], slot
-        assert passes[slot] == {("membership", "census")}, slot
+                    if len(node.args) > position or any(kw.arg in (keyword, None) for kw in node.keywords):
+                        passes.add((path.stem, name))
+    return named, stores, passes, reads
+
+
+def test_only_census_hands_a_graph_its_graph6_field():
+    # graph6_encode writes a carried field as it is, so no other builder may store one on a graph it makes
+    named, stores, passes, _ = _carried_record("_graph6", 3, "graph6")
+    assert named == ["graphs"]  # the __slots__ entry: no setattr by name
+    assert stores == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted")]
+    assert passes == {("membership", "census")}
+
+
+def test_only_census_hands_a_graph_its_packed_rows():
+    # a _PackedGraph's rows are whatever its packed int unpacks to, so only census may hand one over, and only
+    # _trusted and the rows property may write it
+    named, stores, passes, reads = _carried_record("_packed", 5, "packed")
+    assert named == ["graphs"]  # the __slots__ entry: no setattr by name
+    assert stores == [("graphs", "Graph._trusted"), ("graphs", "_PackedGraph.rows"), ("graphs", "_PackedGraph.rows")]
+    assert passes == {("membership", "census")}
+    assert reads == {("graphs", "_PackedGraph.rows")}
 
 
 def test_only_the_block_reader_stores_a_graph_its_block_read():
     # the member test, t2, the witness and ppt_test answer from a graph's one block record, so only census may
     # hand one over, only the read may write one, and every other module asks membership's reader for it
-    stores, passes, names, named = [], set(), set(), []
-    for path in sorted((SRC / "xorkron").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        named += [path.stem for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value == "_block_read"]
-        for name, func in _top_level_functions(tree):
-            for node in ast.walk(func):
-                if isinstance(node, ast.Attribute) and node.attr == "_block_read":
-                    names.add((path.stem, name))
-                    if isinstance(node.ctx, ast.Store):
-                        stores.append((path.stem, name))
-                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_trusted"):
-                    if len(node.args) > 4 or any(kw.arg in ("block_read", None) for kw in node.keywords):
-                        passes.add((path.stem, name))
+    named, stores, passes, reads = _carried_record("_block_read", 4, "block_read")
     assert named == ["graphs"]  # the __slots__ entry: no setattr by name
     assert stores == [("graphs", "Graph.__init__"), ("graphs", "Graph._trusted"), ("membership", "_pair_rows")]
     assert passes == {("membership", "census")}
-    assert {stem for stem, _ in names} == {"graphs", "membership"}
-    assert {name for stem, name in names if stem == "membership"} == {"_pair_rows", "_holds_read"}
+    assert reads == {("membership", "_pair_rows"), ("membership", "_holds_read")}
 
 
 def test_only_the_decider_and_the_reader_make_a_checked_summand_list():

@@ -6,7 +6,7 @@ from functools import reduce
 from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _CrossGraph
 
 
 class TensorSummand(NamedTuple):
@@ -41,13 +41,21 @@ def two_sum(g: Graph, h: Graph) -> Graph:
     """XOR of edge sets on a shared vertex set (symmetric difference).
 
     Costs one C-level copy of g's rows plus one XOR per nonzero row of h, so
-    pass the sparser operand as h: XOR-ing a cross into a graph is four XORs.
+    pass the sparser operand as h. A cross from tensor_elementary as h costs
+    that copy and four XORs at its cells: its rows are never read or scanned.
     """
     if g.n != h.n:
         raise ValueError(f"2-sum needs equal vertex counts, got {g.n} and {h.n}")
     rows = list(g.rows)
-    for v in compress(range(h.n), h.rows):
-        rows[v] ^= h.rows[v]
+    if type(h) is _CrossGraph:
+        u, v, x, y = h._cross
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+    else:
+        for v in compress(range(h.n), h.rows):
+            rows[v] ^= h.rows[v]
     return Graph._trusted(g.n, rows)
 
 
@@ -55,21 +63,17 @@ def tensor_elementary(p: int, q: int, i: int, i2: int, j: int, j2: int) -> Graph
     """The two-edge graph on the p*q grid with edges {(i,j),(i2,j2)} and {(i,j2),(i2,j)}.
 
     Requires i < i2 and j < j2; equality in either coordinate would make the
-    two grid points collinear and the cross degenerate. The cross's four row
-    bits are set directly; the result equals the Kronecker product of the
-    one-edge factors new_graph(p, [(i, i2)]) and new_graph(q, [(j, j2)]).
+    two grid points collinear and the cross degenerate. The result equals the
+    Kronecker product of the one-edge factors new_graph(p, [(i, i2)]) and
+    new_graph(q, [(j, j2)]). It carries its four cells and its edge count and
+    allocates no rows, so a cross costs O(1) whatever p*q; its p*q rows are
+    built on their first read, which two_sum(g, cross) never makes.
     """
     if not (0 <= i < i2 < p):
         raise ValueError(f"need 0 <= i < i2 < p, got i={i}, i2={i2}, p={p}")
     if not (0 <= j < j2 < q):
         raise ValueError(f"need 0 <= j < j2 < q, got j={j}, j2={j2}, q={q}")
-    u, v, x, y = i * q + j, i2 * q + j2, i * q + j2, i2 * q + j
-    rows = [0] * (p * q)
-    rows[u] = 1 << v
-    rows[v] = 1 << u
-    rows[x] = 1 << y
-    rows[y] = 1 << x
-    return Graph._trusted(p * q, rows)
+    return Graph._trusted(p * q, None, 2, cross=(i * q + j, i2 * q + j2, i * q + j2, i2 * q + j))
 
 
 def tensor_2sum(summands: Sequence[TensorSummand]) -> Graph:

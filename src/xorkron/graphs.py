@@ -35,14 +35,15 @@ class Graph:
     XOR and neighborhood tests on any Graph are word-wise integer operations.
 
     A builder that already knows one of a graph's encodings hands it to
-    _trusted; census hands each member four. The edge count: edge_count counts
-    the row bits on first use and keeps the result, so each graph is counted
-    at most once, and a member is never counted. _graph6, the graph6 bit field
-    in the encoder's layout (6-bit group k at byte k), which graph6_encode then
-    writes as it is and never sets. _block_read, below. And the rows
-    themselves, packed in one int in _row_layout's layout: the member is then
-    a _PackedGraph, which unpacks them on the first read of rows and keeps
-    the tuple, so a consumer that never reads them never unpacks them.
+    _trusted; census hands each member four, tensor_elementary each cross two.
+    The edge count: edge_count counts the row bits on first use and keeps the
+    result, so each graph is counted at most once, and a member or a cross
+    never. _graph6, the graph6 bit field in the encoder's layout (6-bit group
+    k at byte k), which graph6_encode then writes as it is and never sets.
+    _block_read, below. The rows themselves, packed in one int in _row_layout's
+    layout: the member is then a _PackedGraph, which unpacks them on the first
+    read of rows and keeps the tuple, so a consumer that never reads them never
+    unpacks them. And a cross's four cells, in place of rows: see _CrossGraph.
 
     _block_read is what is known of the graph's blocks at one grid shape.
     membership._pair_rows reads it and, past construction, is its one
@@ -93,6 +94,7 @@ class Graph:
         graph6: int | None = None,
         block_read: tuple[int, int, int, tuple[int, ...], int] | None = None,
         packed: int | None = None,
+        cross: tuple[int, int, int, int] | None = None,
     ) -> Graph:
         """Wrap n rows already known to be in range, symmetric and loop-free.
 
@@ -106,13 +108,19 @@ class Graph:
         of reading the adjacency rows. packed, when given, must be the rows
         packed in one int in _row_layout(n)'s layout; rows is then ignored, and
         the graph is a _PackedGraph that unpacks packed when rows is first read.
+        cross, when given, must be the cells (u, v, x, y) of a graph whose only
+        edges are {u, v} and {x, y}; rows is then ignored, and the graph is a
+        _CrossGraph that builds its rows when they are first read.
         """
-        g = object.__new__(cls if packed is None else _PackedGraph)
+        g = object.__new__(_PackedGraph if packed is not None else cls if cross is None else _CrossGraph)
         g.n = n
-        if packed is None:
+        if packed is not None:
+            g._packed = packed
+        elif cross is None:
             g.rows = tuple(rows)
         else:
-            g._packed = packed
+            g._cross = cross
+            g._built = None
         g._edge_count = edge_count
         g._graph6 = graph6
         g._block_read = block_read
@@ -181,6 +189,31 @@ class _PackedGraph(Graph):
     @rows.setter
     def rows(self, rows: tuple[int, ...]) -> None:
         self._packed = rows
+
+
+class _CrossGraph(Graph):
+    """A cross from Graph._trusted(..., cross=...): cells (u, v, x, y) for edges {u, v} and {x, y}, and no rows.
+
+    two_sum XORs the cells in. _built holds None until rows is first read, then
+    the tuple built from the cells, which later reads return; as on a
+    _PackedGraph, the property can be set, for copy and pickle.
+    """
+
+    __slots__ = ("_cross", "_built")
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        rows = self._built
+        if rows is None:
+            u, v, x, y = self._cross
+            built = [0] * self.n
+            built[u], built[v], built[x], built[y] = 1 << v, 1 << u, 1 << y, 1 << x
+            rows = self._built = tuple(built)
+        return rows
+
+    @rows.setter
+    def rows(self, rows: tuple[int, ...]) -> None:
+        self._built = rows
 
 
 def new_graph(n: int, edges: Iterable[Iterable[int]]) -> Graph:

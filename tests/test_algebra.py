@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 from itertools import combinations
@@ -18,6 +20,8 @@ from xorkron import (
     tensor_product,
     two_sum,
 )
+
+from xorkron import graphs
 
 from .helpers import dense_rows, random_graph, random_nontrivial
 
@@ -92,10 +96,14 @@ def test_two_sum_matches_the_full_width_xor_at_every_order():
     rng = random.Random(43)
     for n in range(65):
         empty = new_graph(n, [])
+        p = next((d for d in range(2, n) if n % d == 0), None)  # a cross needs n = p*q with p, q >= 2
         for _ in range(3):
             sparse = random_graph(rng, n, 0.05)
             dense = random_graph(rng, n, 0.9)
             pairs = [(sparse, dense), (dense, sparse), (sparse, sparse), (dense, dense), (dense, empty), (empty, sparse)]
+            if p is not None:
+                quad = sorted(rng.sample(range(p), 2)) + sorted(rng.sample(range(n // p), 2))
+                pairs += [(dense, tensor_elementary(p, n // p, *quad)), (tensor_elementary(p, n // p, *quad), sparse)]
             for g, h in pairs:
                 out = two_sum(g, h)
                 assert out.n == n and out.rows == tuple(a ^ b for a, b in zip(g.rows, h.rows))
@@ -134,6 +142,50 @@ def test_tensor_elementary_is_the_product_of_its_one_edge_factors(p, q):
         for j, j2 in combinations(range(q), 2):
             expected = tensor_product(new_graph(p, [(i, i2)]), new_graph(q, [(j, j2)]))
             assert tensor_elementary(p, q, i, i2, j, j2) == expected
+
+
+def _crosses(p: int, q: int):
+    for i, i2 in combinations(range(p), 2):
+        for j, j2 in combinations(range(q), 2):
+            yield tensor_elementary(p, q, i, i2, j, j2), tensor_product(new_graph(p, [(i, i2)]), new_graph(q, [(j, j2)]))
+
+
+@pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 4), (9, 8)])
+def test_a_cross_counts_hashes_and_reads_as_the_product_of_its_factors(p, q):
+    # at (2,2) a cross's four cells and its four built rows are both 4-tuples, so every read must give the rows
+    for cross, product in _crosses(p, q):
+        assert cross.edge_count == 2
+        assert cross == product and hash(cross) == hash(product) and repr(cross) == repr(product)
+        rows = cross.rows
+        assert type(rows) is tuple and rows == product.rows
+        assert cross.rows is rows and cross.rows is rows
+
+
+def test_two_sum_xors_a_cross_without_reading_its_rows(monkeypatch):
+    rng = random.Random(53)
+    g = random_graph(rng, 72, 0.3)
+    expected = g
+    for _, product in _crosses(9, 8):
+        expected = two_sum(expected, product)
+    monkeypatch.setattr(graphs._CrossGraph, "rows", property(lambda cross: pytest.fail("a cross's rows were read")))
+    for cross, _ in _crosses(9, 8):
+        g = two_sum(g, cross)
+    monkeypatch.undo()
+    assert g == expected
+
+
+def _pickled(g):
+    return pickle.loads(pickle.dumps(g))
+
+
+@pytest.mark.parametrize("dup", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
+def test_crosses_survive_copy_and_pickle(dup):
+    # the first duplicate is made of a cross whose rows were never read, the second of the same cross after
+    for p, q in ((2, 2), (3, 4), (9, 8)):
+        for cross, product in _crosses(p, q):
+            for other in (dup(cross), dup(cross)):
+                assert other == cross == product and hash(other) == hash(product) and other.rows == product.rows
+                assert other.edge_count == 2 and two_sum(product, other) == new_graph(p * q, [])
 
 
 def test_tensor_elementary_rejects_bad_indices():

@@ -479,10 +479,15 @@ def test_deeply_nested_certificate_is_unreadable(capsys, monkeypatch):
 
 # Each count is too large for the first list the command makes, so nothing is allocated:
 # HUGE does not fit an index, BIG fits one but its list would not fit the address space.
+# A cross from `elementary` makes no list until its rows are read, so graph6 refuses its order first.
 HUGE = "100000000000000000000"
 BIG = "2000000000000000000"
 NO_INDEX = "error: cannot fit 'int' into an index-sized integer\n"
 NO_MEMORY = "error: not enough memory for this input\n"
+
+
+def _no_graph6(p: str) -> str:
+    return f"error: graph6 short form handles n <= 62, got {2 * int(p)}\n"
 
 
 @pytest.mark.parametrize(
@@ -490,11 +495,21 @@ NO_MEMORY = "error: not enough memory for this input\n"
     [
         (("ppt-check", "--p", "2", "E" + HUGE), "", NO_INDEX),
         (("member", "--p", "2", "--q", "2", "-"), HUGE + "\n0 1\n", NO_INDEX),
-        (("elementary", HUGE, "2", "0", "1", "0", "1"), "", NO_INDEX),
+        (("elementary", HUGE, "2", "0", "1", "0", "1"), "", _no_graph6(HUGE)),
+        (("elementary", HUGE, "2", "0", "1", "0", "1", "--edges"), "", NO_INDEX),
         (("ppt-check", "--p", "2", "E" + BIG), "", NO_MEMORY),
-        (("elementary", BIG, "2", "0", "1", "0", "1"), "", NO_MEMORY),
+        (("elementary", BIG, "2", "0", "1", "0", "1"), "", _no_graph6(BIG)),
+        (("elementary", BIG, "2", "0", "1", "0", "1", "--edges"), "", NO_MEMORY),
     ],
-    ids=["ppt-check", "member", "elementary", "ppt-check-memory", "elementary-memory"],
+    ids=[
+        "ppt-check",
+        "member",
+        "elementary",
+        "elementary-edges",
+        "ppt-check-memory",
+        "elementary-memory",
+        "elementary-edges-memory",
+    ],
 )
 def test_vertex_count_too_large_is_an_input_error(capsys, monkeypatch, argv, stdin, message):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))

@@ -653,7 +653,7 @@ def test_a_member_of_many_crosses_at_a_wide_shape_is_verified_within_budget():
     start = time.perf_counter()
     assert verify_certificate(cert) == []
     elapsed = time.perf_counter() - start
-    assert elapsed < 2.0, f"verify_certificate took {elapsed:.2f} s"
+    assert elapsed < 1.0, f"verify_certificate took {elapsed:.2f} s"
 
 
 def _writer_corpus() -> list[Certificate]:
@@ -919,6 +919,16 @@ def test_only_an_unchanged_list_from_the_decider_or_the_reader_skips_the_checks(
     assert verify_certificate(moved) == reference_verify_certificate(moved) != []
 
 
+def test_a_repeated_summand_is_rejected_even_where_the_list_xors_back():
+    # (a, a, b) XORs back to the single cross b, so only the strict order test tells it from b's own list
+    shape = GridShape(3, 3)
+    a, b = (0, 1, 0, 1), (1, 2, 1, 2)
+    k = graph_from_quadruples(shape, [b])
+    cert = Certificate(True, shape, k, labeling=GridLabeling.identity(shape), summands=(a, a, b))
+    assert graph_from_quadruples(shape, cert.summands) == k
+    assert verify_certificate(cert) == ["summand list does not match the relabeled graph"]
+
+
 def test_verify_certificate_accepts_honest_certs():
     shape = GridShape(2, 3)
     for k in census(shape):
@@ -1102,6 +1112,11 @@ HONEST_23 = is_spanning_cross_like(_complete_product(2, 3), GridShape(2, 3))
         (
             Certificate(False, GridShape(2, 2), CROSS, witness=Witness(REASON_SEARCH_EXHAUSTED)),
             "search-exhausted witness but a full search finds a valid labeling",
+        ),
+        # zero edges is an even count too, though a falsy one
+        (
+            Certificate(False, GridShape(2, 2), new_graph(4, []), witness=Witness(REASON_ODD_EDGES)),
+            "odd-edge-count witness but the edge count is even",
         ),
     ],
 )

@@ -117,7 +117,7 @@ def _top_level_functions(tree: ast.Module):
 
 
 def _carried_record(slot: str, position: int, keyword: str):
-    """Where the package names slot, a record census hands a graph through _trusted at position or keyword.
+    """Where the package names slot, a record a builder hands a graph through _trusted at position or keyword.
 
     Returns the modules holding the string slot, the functions that store it, the functions that pass it
     to a _trusted call, and the functions that read it, each function as (module, name).
@@ -155,6 +155,16 @@ def test_only_census_hands_a_graph_its_packed_rows():
     assert stores == [("graphs", "Graph._trusted"), ("graphs", "_PackedGraph.rows"), ("graphs", "_PackedGraph.rows")]
     assert passes == {("membership", "census")}
     assert reads == {("graphs", "_PackedGraph.rows")}
+
+
+def test_only_tensor_elementary_hands_a_graph_its_cells():
+    # two_sum XORs a _CrossGraph's cells in place of its rows, so only tensor_elementary may hand a graph cells,
+    # only _trusted may store them, and only two_sum and the rows property may read them
+    named, stores, passes, reads = _carried_record("_cross", 6, "cross")
+    assert named == ["graphs"]  # the __slots__ entry: no setattr by name
+    assert stores == [("graphs", "Graph._trusted")]
+    assert passes == {("algebra", "tensor_elementary")}
+    assert reads == {("algebra", "two_sum"), ("graphs", "_CrossGraph.rows")}
 
 
 def test_only_the_block_reader_stores_a_graph_its_block_read():
